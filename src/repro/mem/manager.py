@@ -272,7 +272,6 @@ class HostMemoryManager:
         needs_write = ~pages.swap_clean[victims]
         write_bytes = float(np.count_nonzero(needs_write)) * pages.page_size
         pages.swap_out(victims)
-        pages.swap_clean[victims] = True
         b.writeback_backlog += write_bytes
         b.cgroup.account_swap_out(write_bytes)
         return int(victims.size)

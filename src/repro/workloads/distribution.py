@@ -20,9 +20,15 @@ Both are exact under the per-page weight model (no bucketing).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["AccessDistribution", "UniformAccess", "ZipfAccess"]
+
+#: class members per pick from which ``UniformAccess.sample`` rejects
+#: draws instead of scanning the region
+_DENSE_RATIO = 8
 
 
 class AccessDistribution:
@@ -39,7 +45,16 @@ class AccessDistribution:
 
 
 class UniformAccess(AccessDistribution):
-    """Every page of the region is equally likely (the paper's setup)."""
+    """Every page of the region is equally likely (the paper's setup).
+
+    ``sample`` avoids scanning the region when the class is dense: with
+    ``m >= 8 k`` members it draws uniform positions over the whole
+    region, rejects those outside the class and keeps first occurrences
+    until ``k`` are distinct. Conditioned on landing in the class, each
+    draw is uniform over it, so the first ``k`` distinct members are an
+    exactly uniform ``k``-subset, found in O(k n / m) work. Sparser
+    classes fall back to ``flatnonzero`` plus ``choice``.
+    """
 
     def class_probability(self, mask: np.ndarray) -> float:
         if mask.size == 0:
@@ -48,10 +63,39 @@ class UniformAccess(AccessDistribution):
 
     def sample(self, mask: np.ndarray, k: int,
                rng: np.random.Generator) -> np.ndarray:
-        cand = np.flatnonzero(mask)
-        if cand.size <= k:
-            return cand
-        return rng.choice(cand, size=k, replace=False)
+        m = int(np.count_nonzero(mask))
+        if m <= k:
+            return np.flatnonzero(mask)
+        if m < _DENSE_RATIO * k:
+            return rng.choice(np.flatnonzero(mask), size=k, replace=False)
+        n = mask.size
+        hits = np.empty(0, dtype=np.int64)
+        while True:
+            # draws for the missing picks, the duplicates among them and
+            # a Poisson margin, so one round almost always suffices
+            short = k - hits.size
+            want = short + short * k // m + 4 * math.isqrt(short) + 4
+            draws = rng.integers(0, n, size=want * n // m + 1)
+            hits = _first_occurrences(
+                np.concatenate((hits, draws[mask[draws]])))
+            if hits.size >= k:
+                return hits[:k]
+
+
+def _first_occurrences(a: np.ndarray) -> np.ndarray:
+    """``a`` without repeats, each value where it first occurs.
+
+    One plain sort of ``value * len + position`` keys groups equal values
+    with their first position leading (cheaper than ``np.unique``'s
+    stable argsort).
+    """
+    n = a.size
+    keys = np.sort(a * n + np.arange(n))
+    values = keys // n
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return a[np.sort(keys[first] % n)]
 
 
 class ZipfAccess(AccessDistribution):
