@@ -17,9 +17,10 @@ same seeded fault/dirty/shrink churn and the per-tick commit protocol
 timed on each, with a verification pass comparing every backlog, grant
 and residency counter exactly.
 
-Timing passes run without recording; a separate verification pass
-records per-flow grants on both networks and compares them exactly
-(``==``, not approximately — the fast path is bit-identical by design).
+The last timed fabric pass of each arm also records per-flow grants
+(the row copies are kept out of its timings), and the two arms' grants
+are compared exactly (``==``, not approximately — the fast path is
+bit-identical by design).
 """
 
 from __future__ import annotations
@@ -59,9 +60,10 @@ class ScaleConfig:
     #: VMD-style fan-in lanes per host: each host opens this many
     #: parallel priority-1 flows to one randomly chosen server host.
     #: Lanes of one (host, server) pair share the identical tier path,
-    #: so the aggregated fill coalesces them — the population the
-    #: aggregation exists for. 0 disables (and keeps the churn trace
-    #: byte-identical to the pre-aggregation harness).
+    #: so priority-1 classes grow large and path-heavy: a stress
+    #: population for the vector fill against the reference oracle.
+    #: 0 disables (and keeps the churn trace byte-identical to the
+    #: harness without lanes).
     fanin_lanes: int = 0
     #: per-tick probability each fan-in lane declares demand
     fanin_active_prob: float = 0.5
@@ -120,10 +122,10 @@ class ScaleConfig:
     def tier3(seed: int = 0, quick: bool = False) -> "ScaleConfig":
         """The 1000-host datapoint: 2 AZs × 5 pods × 10 racks × 10
         hosts behind 2:1 oversubscribed tier uplinks, with VMD-style
-        fan-in lanes so same-path flow populations exist for the
-        aggregated fill to coalesce. ``quick`` keeps all 1000 hosts but
-        cuts ticks/lanes to fit the CI budget (the reference arbiter is
-        what makes this bench expensive)."""
+        fan-in lanes so large same-path flow populations stress the
+        vector fill against the reference. ``quick`` keeps all 1000
+        hosts but cuts ticks/lanes to fit the CI budget (the reference
+        arbiter is what makes this bench expensive)."""
         cluster = dict(cluster_sim_s=6.0, cluster_racks=12,
                        cluster_hosts_per_rack=8, cluster_racks_per_pod=2,
                        cluster_pods_per_az=3)
@@ -154,13 +156,11 @@ class ScaleConfig:
 class _FabricDriver:
     """One network + the deterministic churn replayed onto it."""
 
-    def __init__(self, cfg: ScaleConfig, fast_path: bool,
-                 aggregate: bool = False):
+    def __init__(self, cfg: ScaleConfig, fast_path: bool):
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
         self.net = Network(default_bandwidth_bps=cfg.nic_bps,
-                           latency_s=2e-4, fast_path=fast_path,
-                           aggregate=aggregate)
+                           latency_s=2e-4, fast_path=fast_path)
         if cfg.tiers == 3:
             self.topo = Topology.tiered(
                 cfg.n_azs, cfg.pods_per_az, cfg.racks_per_pod,
@@ -200,8 +200,7 @@ class _FabricDriver:
                 self.app_flows.append(self.net.open_flow(
                     name, dst, priority=prio, name=f"app:{name}:{k}"))
         # VMD-style fan-in: each host streams to one server host over
-        # ``fanin_lanes`` parallel lanes. The lanes share one tier path,
-        # so they coalesce into one aggregate per (host, server) pair.
+        # ``fanin_lanes`` parallel lanes that share one tier path.
         self.fanin_flows = []
         if cfg.fanin_lanes:
             for name in self.hosts:
@@ -301,9 +300,12 @@ class _FabricDriver:
 
     # -- execution -----------------------------------------------------------
     def run(self, record: bool = False) -> dict:
+        """Replay the trace; ``record`` also copies every tick's grants,
+        and that copying is excluded from ``wall_s``."""
         cfg = self.cfg
         grants: list[list[float]] = []
         arb_s = 0.0
+        record_s = 0.0
         t0 = time.perf_counter()
         for tick in range(cfg.ticks):
             self._churn(tick)
@@ -314,13 +316,15 @@ class _FabricDriver:
             self.net.arbitrate(cfg.dt)
             arb_s += time.perf_counter() - a0
             if record:
+                r0 = time.perf_counter()
                 row = [f.granted for f in self.mig_flows]
                 row += [0.0 if f is None else f.granted
                         for f in self.paging_flows]
                 row += [f.granted for f in self.app_flows]
                 row += [f.granted for f in self.fanin_flows]
                 grants.append(row)
-        wall = time.perf_counter() - t0
+                record_s += time.perf_counter() - r0
+        wall = time.perf_counter() - t0 - record_s
         return {
             "wall_s": wall,
             "ticks_per_s": cfg.ticks / wall if wall > 0 else float("inf"),
@@ -334,25 +338,23 @@ class _FabricDriver:
 
 def fabric_bench(cfg: ScaleConfig, check_grants: bool = True,
                  repeats: int = 2) -> dict:
-    """Time all three arbiters on the same churn trace; verify grants.
+    """Time the fast arbiter against the reference on one churn trace;
+    verify grants.
 
-    The three arms are the aggregated fast path (same-path flows
-    coalesced per priority class), the per-flow fast path, and the
-    dict-based reference oracle. Each is timed ``repeats`` times and the
-    best pass is kept — the trace is deterministic, so repeats only
-    strip scheduler noise. ``speedup_aggregated`` is aggregated-vs-
-    *reference* ticks/s: the acceptance metric is measured against the
-    oracle, not against the already-fast vector path.
+    Each arm is timed ``repeats`` times and the best pass is kept — the
+    trace is deterministic, so repeats only strip scheduler noise. With
+    ``check_grants`` the last pass of each arm also records grants (its
+    row copies are excluded from the timings), so verification costs no
+    extra pass of the expensive reference oracle.
     """
-    def best(fast_path: bool, aggregate: bool) -> dict:
-        return min((_FabricDriver(cfg, fast_path=fast_path,
-                                  aggregate=aggregate).run()
-                    for _ in range(repeats)),
-                   key=lambda r: r["wall_s"])
+    def arm(fast_path: bool) -> tuple[dict, list[list[float]]]:
+        runs = [_FabricDriver(cfg, fast_path=fast_path).run(
+                    record=check_grants and i == repeats - 1)
+                for i in range(repeats)]
+        return min(runs, key=lambda r: r["wall_s"]), runs[-1]["grants"]
 
-    timed_agg = best(fast_path=True, aggregate=True)
-    timed_fast = best(fast_path=True, aggregate=False)
-    timed_ref = best(fast_path=False, aggregate=False)
+    timed_fast, grants_fast = arm(fast_path=True)
+    timed_ref, grants_ref = arm(fast_path=False)
     keys = ("wall_s", "ticks_per_s", "arbiter_us_per_tick")
     result = {
         "hosts": cfg.n_hosts,
@@ -363,7 +365,6 @@ def fabric_bench(cfg: ScaleConfig, check_grants: bool = True,
         "ticks": cfg.ticks,
         "peak_active_flows": timed_fast["peak_active_flows"],
         "flows_opened": timed_fast["flows_opened"],
-        "aggregated": {k: timed_agg[k] for k in keys},
         "fast": {k: timed_fast[k] for k in keys},
         "reference": {k: timed_ref[k] for k in keys},
     }
@@ -372,30 +373,12 @@ def fabric_bench(cfg: ScaleConfig, check_grants: bool = True,
     result["speedup_arbiter"] = (
         result["reference"]["arbiter_us_per_tick"]
         / result["fast"]["arbiter_us_per_tick"])
-    result["speedup_aggregated"] = (
-        result["aggregated"]["ticks_per_s"]
-        / result["reference"]["ticks_per_s"])
-    result["speedup_aggregated_arbiter"] = (
-        result["reference"]["arbiter_us_per_tick"]
-        / result["aggregated"]["arbiter_us_per_tick"])
     if check_grants:
-        rec_agg = _FabricDriver(cfg, fast_path=True,
-                                aggregate=True).run(record=True)
-        rec_fast = _FabricDriver(cfg, fast_path=True,
-                                 aggregate=False).run(record=True)
-        rec_ref = _FabricDriver(cfg, fast_path=False,
-                                aggregate=False).run(record=True)
-        mismatches = sum(
-            1 for a, b in zip(rec_fast["grants"], rec_ref["grants"])
-            if a != b)
-        agg_mismatches = sum(
-            1 for a, b in zip(rec_agg["grants"], rec_ref["grants"])
-            if a != b)
+        mismatches = sum(1 for a, b in zip(grants_fast, grants_ref)
+                         if a != b)
         result["grants_match"] = mismatches == 0
-        result["grant_ticks_compared"] = len(rec_fast["grants"])
+        result["grant_ticks_compared"] = len(grants_fast)
         result["grant_mismatch_ticks"] = mismatches
-        result["aggregated_grants_match"] = agg_mismatches == 0
-        result["aggregated_grant_mismatch_ticks"] = agg_mismatches
     return result
 
 
@@ -635,11 +618,6 @@ def check_regression(current: dict, baseline: dict,
     gate("fabric fast ticks/s",
          current["fabric"]["fast"]["ticks_per_s"],
          baseline["fabric"]["fast"]["ticks_per_s"])
-    if "aggregated" in current["fabric"] \
-            and "aggregated" in baseline["fabric"]:
-        gate("fabric aggregated ticks/s",
-             current["fabric"]["aggregated"]["ticks_per_s"],
-             baseline["fabric"]["aggregated"]["ticks_per_s"])
     if "commit" in current and "commit" in baseline:
         gate("commit fast ticks/s",
              current["commit"]["fast"]["ticks_per_s"],
@@ -650,9 +628,6 @@ def check_regression(current: dict, baseline: dict,
              baseline["cluster"]["ticks_per_s"])
     if not current["fabric"].get("grants_match", True):
         failures.append("fast-path grants diverged from the reference")
-    if not current["fabric"].get("aggregated_grants_match", True):
-        failures.append(
-            "aggregated-fill grants diverged from the reference")
     if not current.get("commit", {}).get("states_match", True):
         failures.append(
             "batched commit state diverged from the scalar oracle")
@@ -684,21 +659,10 @@ def format_summary(res: dict) -> list[str]:
         f"  speedup   {fab['speedup_ticks_per_s']:.1f}x ticks/s, "
         f"{fab['speedup_arbiter']:.1f}x arbiter",
     ]
-    if "aggregated" in fab:
-        lines.insert(1, (
-            f"  aggregated{fab['aggregated']['ticks_per_s']:10,.0f}"
-            f" ticks/s   "
-            f"{fab['aggregated']['arbiter_us_per_tick']:8,.0f} us/tick"
-            f"  ({fab['speedup_aggregated']:.1f}x vs reference)"))
     if "grants_match" in fab:
         lines.append(
             f"  grants    {'identical' if fab['grants_match'] else 'DIVERGED'}"
             f" over {fab['grant_ticks_compared']} ticks")
-        if "aggregated_grants_match" in fab:
-            lines.append(
-                f"  agg-grants "
-                f"{'identical' if fab['aggregated_grants_match'] else 'DIVERGED'}"
-                f" over {fab['grant_ticks_compared']} ticks")
     if "commit" in res:
         com = res["commit"]
         lines.append(

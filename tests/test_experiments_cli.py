@@ -19,6 +19,16 @@ def test_help_exits_cleanly(capsys):
     assert "fig7" in out and "tab2" in out
 
 
+@pytest.mark.parametrize("hosts", ["50", "500", "5000"])
+def test_scale_rejects_unsupported_host_counts(hosts, capsys):
+    """Only the 1000-host tier-3 config exists; other counts must not
+    silently run a different fabric."""
+    with pytest.raises(SystemExit) as exc:
+        main(["scale", "--quick", "--hosts", hosts])
+    assert exc.value.code != 0
+    assert "--hosts" in capsys.readouterr().err
+
+
 def test_sparkline_shape():
     ts = TimeSeries()
     for i in range(100):

@@ -1,16 +1,28 @@
-"""Property-based tests for network arbitration invariants."""
+"""Property-based tests for network arbitration invariants.
+
+Flow counts reach well past the scalar-batch cutoff (12 flows per
+priority class), so both the scalar and the vector fill are exercised.
+Besides the oracle-free invariants, a max-min certificate checks each
+allocation against the specification of strict-priority max-min
+fairness itself, on both arbiters and on flat and three-tier fabrics.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net import Network
+from repro.sched.topology import Topology
+
+#: the tiered fabric's shape: 2 AZs x 2 pods x 2 racks x 2 hosts
+_TIERED_HOSTS_PER_RACK = 2
+_TIERED_HOSTS = 2 * 2 * 2 * _TIERED_HOSTS_PER_RACK
 
 
 @st.composite
-def flow_specs(draw):
-    n_hosts = draw(st.integers(2, 5))
-    n_flows = draw(st.integers(1, 12))
+def flow_specs(draw, max_hosts=5):
+    n_hosts = draw(st.integers(2, max_hosts))
+    n_flows = draw(st.integers(1, 48))
     flows = []
     for _ in range(n_flows):
         src = draw(st.integers(0, n_hosts - 1))
@@ -21,8 +33,21 @@ def flow_specs(draw):
     return n_hosts, flows
 
 
-def build(n_hosts, specs, bw=1000.0):
-    net = Network(default_bandwidth_bps=bw, latency_s=0.0)
+def tiered_topology():
+    """Tapered uplinks at NIC speed, plus a core, so tier links bind."""
+    t = Topology.tiered(2, 2, 2, uplink_bps=1000.0, oversubscription=2.0,
+                        core_bps=1500.0)
+    racks = [r for r in t.racks for _ in range(_TIERED_HOSTS_PER_RACK)]
+    for i, rack in enumerate(racks):
+        t.assign(f"h{i}", rack)
+    return t
+
+
+def build(n_hosts, specs, bw=1000.0, fast_path=True, tiered=False):
+    net = Network(default_bandwidth_bps=bw, latency_s=0.0,
+                  fast_path=fast_path)
+    if tiered:
+        net.set_topology(tiered_topology())
     for i in range(n_hosts):
         net.add_host(f"h{i}")
     flows = []
@@ -31,6 +56,44 @@ def build(n_hosts, specs, bw=1000.0):
         f.demand = demand
         flows.append(f)
     return net, flows
+
+
+def assert_max_min_certificate(flows, demands, dt, tol=1e-6):
+    """Check an allocation against strict-priority max-min fairness.
+
+    * every grant is at most its demand;
+    * every link carries at most its capacity for the tick;
+    * every flow left short of its demand has a bottleneck on its path:
+      a link its own and higher classes saturate, on which no flow of
+      its class was granted more.
+    """
+    carried = {}
+    for f, d in zip(flows, demands):
+        assert 0.0 <= f.granted <= d, (f.name, f.granted, d)
+        for link in f.links:
+            carried[link] = carried.get(link, 0.0) + f.granted
+    for link, used in carried.items():
+        cap = link.capacity_per_tick(dt)
+        assert used <= cap + tol * max(1.0, cap), (link.name, used, cap)
+
+    for f, d in zip(flows, demands):
+        if f.granted >= d - tol:
+            continue
+        bottlenecked = False
+        for link in f.links:
+            cap = link.capacity_per_tick(dt)
+            sharing = [g for g in flows
+                       if g.priority <= f.priority and link in g.links]
+            saturated = (sum(g.granted for g in sharing)
+                         >= cap - tol * max(1.0, cap))
+            top = max(g.granted for g in sharing
+                      if g.priority == f.priority)
+            if saturated and top <= f.granted + tol:
+                bottlenecked = True
+                break
+        assert bottlenecked, (
+            f"{f.name} (prio {f.priority}) got {f.granted!r} of {d!r} "
+            f"with no saturated bottleneck on its path")
 
 
 @settings(max_examples=80, deadline=None)
@@ -86,3 +149,27 @@ def test_strict_priority_dominance(spec):
     for i, grant in hi_grants.items():
         assert grant == pytest.approx(flows_hi[i].granted, rel=1e-6,
                                       abs=1e-6)
+
+
+@pytest.mark.parametrize("fast_path", [True, False],
+                         ids=["fast", "reference"])
+@settings(max_examples=80, deadline=None)
+@given(spec=flow_specs())
+def test_max_min_certificate_flat(fast_path, spec):
+    n_hosts, specs = spec
+    net, flows = build(n_hosts, specs, fast_path=fast_path)
+    demands = [f.demand for f in flows]
+    net.arbitrate(dt=1.0)
+    assert_max_min_certificate(flows, demands, dt=1.0)
+
+
+@pytest.mark.parametrize("fast_path", [True, False],
+                         ids=["fast", "reference"])
+@settings(max_examples=80, deadline=None)
+@given(spec=flow_specs(max_hosts=_TIERED_HOSTS))
+def test_max_min_certificate_tiered(fast_path, spec):
+    n_hosts, specs = spec
+    net, flows = build(n_hosts, specs, fast_path=fast_path, tiered=True)
+    demands = [f.demand for f in flows]
+    net.arbitrate(dt=1.0)
+    assert_max_min_certificate(flows, demands, dt=1.0)
