@@ -19,10 +19,9 @@ import numpy as np
 from repro.host.host import Host
 from repro.mem.device import SSDSwapDevice
 from repro.mem.manager import HostMemoryManager
-from repro.metrics.recorder import Recorder
 from repro.net.network import Network
 from repro.obs.tracer import NULL_TRACER, NullTracer
-from repro.telemetry.instruments import NULL_METRICS, NullRegistry
+from repro.telemetry.instruments import NULL_METRICS, MetricsRegistry, NullRegistry
 from repro.sim.kernel import Simulator
 from repro.sim.periodic import TickEngine
 from repro.sim.rng import RngStreams
@@ -53,12 +52,15 @@ class World:
         #: default contract as the tracer
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.metrics.bind_clock(lambda: self.sim.now)
+        #: the run's series store: the live registry when there is one,
+        #: so recorded series and instruments share one namespace
+        self.recorder = (self.metrics if self.metrics.enabled
+                         else MetricsRegistry(lambda: self.sim.now))
         self.engine = TickEngine(self.sim, dt=dt)
         self.network = Network(default_bandwidth_bps=net_bandwidth_bps,
                                latency_s=net_latency_s)
         self.network.metrics = self.metrics
         self.engine.add_arbiter(self.network, order=0)
-        self.recorder = Recorder()
         self.rngs = RngStreams(seed)
         self.hosts: dict[str, Host] = {}
         self.vms: dict[str, VirtualMachine] = {}
@@ -146,7 +148,9 @@ class World:
     # -- usage feed ----------------------------------------------------------
     def start_usage_feed(self, interval_s: float = 1.0) -> None:
         """Periodically sample every host's resident bytes into the
-        recorder (``host.<name>.used_bytes``) and notify subscribers.
+        series store (the ``host.<name>.used_bytes`` gauge of
+        :attr:`recorder`, which is the ``metrics=`` registry when one was
+        passed) and notify subscribers.
 
         The planner's pressure forecast feeds from this. Idempotent: a
         second call (another control plane, a test) keeps the first
@@ -164,12 +168,9 @@ class World:
         self._usage_subs.append(fn)
 
     def _sample_usage(self, now: float) -> None:
-        publish = self.metrics.enabled
         for name in sorted(self.hosts):
             used = self.hosts[name].memory.total_resident_bytes()
             self.recorder.record(f"host.{name}.used_bytes", now, used)
-            if publish:
-                self.metrics.gauge(f"mem.host.{name}.used_bytes").set(used)
             for fn in self._usage_subs:
                 fn(name, now, used)
 

@@ -30,11 +30,10 @@ from repro.host.host import Host
 from repro.mem.cgroup import Cgroup
 from repro.mem.device import DeviceQueue, SwapBackend
 from repro.mem.pages import PageSet
-from repro.metrics.recorder import Recorder
 from repro.net.channel import StreamChannel
 from repro.net.network import Network
 from repro.obs.tracer import NULL_TRACER
-from repro.telemetry.instruments import NULL_METRICS
+from repro.telemetry.instruments import NULL_METRICS, MetricsRegistry
 from repro.sim.kernel import Simulator
 from repro.vm.vm import VirtualMachine, VmState
 from repro.vmd.namespace import VMDNamespace
@@ -406,7 +405,7 @@ class MigrationManager:
 
     def __init__(self, sim: Simulator, network: Network,
                  src: Host, dst: Host, vm: VirtualMachine,
-                 recorder: Recorder,
+                 recorder: MetricsRegistry,
                  dst_backend: Optional[SwapBackend] = None,
                  config: Optional[MigrationConfig] = None,
                  workload=None, tracer=None, metrics=None):

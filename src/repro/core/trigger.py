@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.metrics.recorder import Recorder
 from repro.sim.kernel import Simulator
 from repro.sim.periodic import PeriodicTask
-from repro.telemetry.instruments import NULL_METRICS
+from repro.telemetry.instruments import NULL_METRICS, MetricsRegistry
 
 __all__ = ["WatermarkTrigger", "select_vms_to_migrate"]
 
@@ -76,7 +75,7 @@ class WatermarkTrigger:
     def __init__(self, sim: Simulator, usable_bytes: float,
                  wss_of: Callable[[], dict[str, float]],
                  migrate: Callable[[list[str]], None],
-                 recorder: Optional[Recorder] = None,
+                 recorder: Optional[MetricsRegistry] = None,
                  config: Optional[WatermarkConfig] = None,
                  select: Optional[Callable] = None,
                  metrics=None):

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.mem.manager import HostMemoryManager
-from repro.metrics.recorder import Recorder
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.kernel import Simulator
 from repro.sim.periodic import PeriodicTask
+from repro.telemetry.instruments import MetricsRegistry
 
 __all__ = ["WssTracker", "WssTrackerConfig"]
 
@@ -62,7 +62,7 @@ class WssTracker:
 
     def __init__(self, sim: Simulator, vm_name: str,
                  manager_of: Callable[[], HostMemoryManager],
-                 recorder: Recorder,
+                 recorder: MetricsRegistry,
                  config: Optional[WssTrackerConfig] = None,
                  max_reservation_bytes: float = float("inf"),
                  tracer=None):

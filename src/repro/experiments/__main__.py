@@ -17,9 +17,11 @@ Usage::
     python -m repro.experiments slo             # SLO-aware shedding
     python -m repro.experiments slo --ablate    # aware vs blind gate
 
-``--metrics PATH`` attaches a live :class:`~repro.telemetry.MetricsRegistry`
-to the run and exports it — Prometheus text when PATH ends in ``.prom``,
-deterministic JSONL otherwise (same seed ⇒ byte-identical file).
+``--metrics PATH`` makes a :class:`~repro.telemetry.MetricsRegistry` the
+run's one metrics store (live instruments and recorded series) and
+exports it — Prometheus text when PATH ends in ``.prom``, every series
+sample as long-form CSV for ``.csv``, deterministic JSONL otherwise
+(same seed ⇒ byte-identical file).
 
 Heavy experiments (the pressure scenarios, the Figure 7/8 sweeps) take
 minutes of wall-clock time each. ``scale --quick`` is the CI-sized run;
@@ -83,13 +85,16 @@ def make_metrics(args):
 
 
 def export_metrics(registry, path: str) -> None:
-    """Write the collected metrics: JSONL (default) or Prometheus text
-    when ``path`` ends in ``.prom``."""
+    """Write the collected metrics: JSONL (default), Prometheus text
+    when ``path`` ends in ``.prom``, long-form series CSV for ``.csv``."""
     if registry is None:
         return
-    from repro.telemetry import metrics_to_jsonl, metrics_to_prometheus
+    from repro.telemetry import (metrics_to_csv, metrics_to_jsonl,
+                                 metrics_to_prometheus)
     if path.endswith(".prom"):
         metrics_to_prometheus(registry, path)
+    elif path.endswith(".csv"):
+        metrics_to_csv(registry, path)
     else:
         metrics_to_jsonl(registry, path)
     print(f"  metrics: {len(registry)} instruments -> {path}")
@@ -469,6 +474,7 @@ def main(argv=None) -> int:
     parser.add_argument("--metrics", metavar="PATH", default=None,
                         help="attach a live metrics registry and export "
                              "it to PATH: Prometheus text for .prom, "
+                             "long-form series CSV for .csv, "
                              "deterministic JSONL otherwise. Supported "
                              "by dc, churn, fleet, flashcrowd, slo.")
     parser.add_argument("--slo-blind", action="store_true",

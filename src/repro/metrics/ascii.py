@@ -10,9 +10,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.metrics.series import TimeSeries
-
-__all__ = ["sparkline", "render_series", "format_table", "span_timeline"]
+__all__ = ["sparkline", "format_table", "span_timeline"]
 
 _BLOCKS = " .:-=+*#%@"
 
@@ -39,20 +37,6 @@ def sparkline(values: Sequence[float], width: int = 70,
     bins = np.array_split(v, min(width, v.size))
     return "".join(_BLOCKS[int(b.mean() * (len(_BLOCKS) - 1))]
                    for b in bins)
-
-
-def render_series(series: TimeSeries, t0: float = 0.0,
-                  t1: Optional[float] = None, width: int = 70,
-                  label: str = "") -> str:
-    """One labelled sparkline line: ``label |chart| max=…``."""
-    if t1 is None:
-        t1 = float(series.t[-1]) if len(series) else 0.0
-    sub = series.between(t0, t1)
-    if len(sub) == 0:
-        return f"  {label:<22s} |{'':{width}s}| (empty)"
-    resampled = sub.resample(max((t1 - t0) / width, 1e-9))
-    line = sparkline(resampled.v, width)
-    return f"  {label:<22s} |{line:<{width}s}| max={resampled.v.max():,.0f}"
 
 
 def format_table(headers: Sequence[str],

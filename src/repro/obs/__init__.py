@@ -1,7 +1,7 @@
 """Observability: sim-clock tracing, exporters, and a self-profiler.
 
-The tracing layer answers the *why* questions the aggregate
-:class:`~repro.metrics.Recorder` series cannot — which precopy round
+The tracing layer answers the *why* questions the aggregate series of
+a :class:`~repro.telemetry.MetricsRegistry` cannot — which precopy round
 stalled, which planner decision bounced a VM, which fault window an
 abort fell into — as time-aligned spans and events across every
 subsystem. Traces are bound to the simulation clock, so a trace is as

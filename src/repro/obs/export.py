@@ -1,9 +1,9 @@
 """Trace exporters: Chrome trace-event JSON and flat JSONL.
 
-Follows the :mod:`repro.metrics.export` conventions (PathLike in,
-``Path`` out). Serialization is deterministic — sorted keys, compact
-separators, sim-clock timestamps — so two same-seed runs export
-byte-identical files.
+PathLike in, ``Path`` out. Serialization is deterministic — sorted
+keys, compact separators, sim-clock timestamps — so two same-seed runs
+export byte-identical files; :mod:`repro.telemetry.export` serializes
+through the same :func:`_dumps`.
 
 The Chrome format (loadable in ``chrome://tracing`` and Perfetto) maps
 tracer *tracks* to threads of a single synthetic process: each track

@@ -1,12 +1,15 @@
-"""Telemetry: deterministic live metrics, SLO probes, pressure index.
+"""Telemetry: the run's metrics store, SLO probes, pressure index.
 
-Where :mod:`repro.obs` records *events* for post-hoc analysis and
-:mod:`repro.metrics` keeps raw evaluation series, this package keeps
-*live aggregates* the control plane itself can consume mid-run: typed
-instruments in a :class:`MetricsRegistry` (sim-clock timestamps, so
-same seed ⇒ byte-identical exports), per-tenant :class:`SloMonitor`
-probes with per-migration violation attribution, and a cluster
-:class:`PressureIndex`. See DESIGN.md §12.
+Where :mod:`repro.obs` records *events* for post-hoc analysis, this
+package keeps the run's numbers. A :class:`MetricsRegistry` is the one
+series store: its gauges are :class:`~repro.metrics.TimeSeries`, so the
+per-tick series the paper's figures read (``World.recorder``) and the
+live instruments the control plane consumes mid-run (counters, gauges,
+histograms, windowed rates) share one dotted namespace, all stamped on
+the sim clock (same seed ⇒ byte-identical exports). One exporter set
+writes it: JSONL snapshot, Prometheus text, long-form CSV. Also here:
+per-tenant :class:`SloMonitor` probes with per-migration violation
+attribution, and a cluster :class:`PressureIndex`. See DESIGN.md §12.
 """
 
 from repro.telemetry.instruments import (
@@ -20,6 +23,7 @@ from repro.telemetry.instruments import (
 )
 from repro.telemetry.export import (
     metrics_snapshot,
+    metrics_to_csv,
     metrics_to_jsonl,
     metrics_to_prometheus,
     prometheus_text,
@@ -41,6 +45,7 @@ __all__ = [
     "SloSpec",
     "WindowedRate",
     "metrics_snapshot",
+    "metrics_to_csv",
     "metrics_to_jsonl",
     "metrics_to_prometheus",
     "prometheus_text",

@@ -45,7 +45,7 @@ def render_dashboard(registry: MetricsRegistry, width: int = 48,
         label_w = min(max(len(g.name) for g in gauges), 34)
         for g in gauges:
             # [0, 1]-bounded signals render against their domain
-            hi = 1.0 if g.v and max(g.v) <= 1.0 and min(g.v) >= 0.0 \
+            hi = 1.0 if g.count and 0.0 <= g.v.min() and g.v.max() <= 1.0 \
                 else None
             chart = sparkline(g.v, width=width, lo=0.0, hi=hi)
             lines.append(f"  {g.name:<{label_w}.{label_w}s} "

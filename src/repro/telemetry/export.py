@@ -1,4 +1,4 @@
-"""Metrics exporters: deterministic JSONL and Prometheus-style text.
+"""Metrics exporters: deterministic JSONL, Prometheus text and CSV.
 
 Follows the :mod:`repro.obs.export` conventions — PathLike in, ``Path``
 out, sorted keys, compact separators, sim-clock timestamps — so two
@@ -8,42 +8,43 @@ The JSONL form is the machine-readable snapshot: a header line, then
 one JSON object per instrument in name order. The Prometheus form is
 the operator-facing exposition text (``# TYPE`` comments, cumulative
 ``_bucket{le="..."}`` lines, ``_sum``/``_count``, summary-style
-quantile lines) for anything that speaks the ecosystem's format.
+quantile lines) for anything that speaks the ecosystem's format. The
+CSV form is every sample of every series (gauge) in long form
+(``series,t,value``) for plotting tools and spreadsheets.
+
+Non-finite values export as ``NaN``, ``+Inf`` and ``-Inf``: bare in the
+Prometheus text, as strings in JSONL (which stays strict JSON).
 """
 
 from __future__ import annotations
 
-import json
+import csv
+import math
 import re
 from pathlib import Path
-from typing import Union
+from typing import Iterable, Optional, Union
 
+from repro.obs.export import _dumps
 from repro.telemetry.instruments import MetricsRegistry
 
-__all__ = ["metrics_snapshot", "metrics_to_jsonl", "prometheus_text",
-           "metrics_to_prometheus"]
+__all__ = ["metrics_snapshot", "metrics_to_csv", "metrics_to_jsonl",
+           "prometheus_text", "metrics_to_prometheus"]
 
 PathLike = Union[str, Path]
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 
-def _jsonify(obj):
-    """json.dumps fallback: NumPy scalars and other .item() carriers."""
-    if hasattr(obj, "item"):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+def _nonfinite(f: float) -> str:
+    return "NaN" if math.isnan(f) else ("+Inf" if f > 0 else "-Inf")
 
 
-def _dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                      default=_jsonify)
-
-
-def _round(v: float) -> float:
+def _round(v: float) -> Union[float, str]:
     """Canonical float for export: kills accumulation noise without
-    losing anything the evaluation reads (12 significant-ish digits)."""
-    return round(float(v), 9)
+    losing anything the evaluation reads (12 significant-ish digits).
+    Non-finite values become their exposition-format strings."""
+    f = float(v)
+    return round(f, 9) if math.isfinite(f) else _nonfinite(f)
 
 
 def _instrument_doc(inst) -> dict:
@@ -55,16 +56,15 @@ def _instrument_doc(inst) -> dict:
         doc["value"] = _round(inst.value)
         doc["samples"] = inst.count
         if inst.count:
-            doc["min"] = _round(min(inst.v))
-            doc["max"] = _round(max(inst.v))
-            doc["mean"] = _round(sum(inst.v) / len(inst.v))
+            doc["min"] = _round(inst.v.min())
+            doc["max"] = _round(inst.v.max())
+            doc["mean"] = _round(inst.v.mean())
     elif inst.kind == "histogram":
         doc["count"] = inst.count
         doc["sum"] = _round(inst.sum)
         doc["max"] = _round(inst.max)
         doc.update({k: _round(v) for k, v in inst.quantiles().items()})
-        doc["buckets"] = [["+Inf" if le == float("inf") else _round(le), n]
-                          for le, n in inst.buckets()]
+        doc["buckets"] = [[_round(le), n] for le, n in inst.buckets()]
     elif inst.kind == "rate":
         doc["total"] = _round(inst.total)
         doc["window_s"] = _round(inst.window_s)
@@ -99,9 +99,9 @@ def _prom_name(name: str, suffix: str = "") -> str:
 
 
 def _prom_num(v: float) -> str:
-    if v == float("inf"):
-        return "+Inf"
     f = float(v)
+    if not math.isfinite(f):
+        return _nonfinite(f)
     return str(int(f)) if f == int(f) and abs(f) < 1e15 else repr(f)
 
 
@@ -141,4 +141,20 @@ def metrics_to_prometheus(registry: MetricsRegistry,
     """Write the Prometheus exposition text."""
     path = Path(path)
     path.write_text(prometheus_text(registry), encoding="utf-8")
+    return path
+
+
+def metrics_to_csv(registry: MetricsRegistry, path: PathLike,
+                   names: Optional[Iterable[str]] = None) -> Path:
+    """Every sample of all (or the ``names``) series in long form:
+    ``series,t,value``, series name-sorted, values ``repr``-exact."""
+    path = Path(path)
+    selected = list(names) if names is not None else registry.names()
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["series", "t", "value"])
+        for name in selected:
+            s = registry.series(name)
+            writer.writerows((name, repr(t), repr(v))
+                             for t, v in zip(s.t.tolist(), s.v.tolist()))
     return path

@@ -36,9 +36,9 @@ from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.mem.manager import HostMemoryManager, VmMemoryBinding
-from repro.metrics.recorder import Recorder
 from repro.net.flow import Flow
 from repro.net.network import Network
+from repro.telemetry.instruments import MetricsRegistry
 from repro.util import PAGE_SIZE
 from repro.vm.vm import VirtualMachine
 
@@ -154,7 +154,7 @@ class Workload:
     def __init__(self, vm: VirtualMachine, plan: PhasePlan,
                  network: Network, client_host: str,
                  manager_of: Callable[[str], HostMemoryManager],
-                 recorder: Recorder, rng: np.random.Generator,
+                 recorder: MetricsRegistry, rng: np.random.Generator,
                  params: Optional[WorkloadParams] = None,
                  distribution: Optional["AccessDistribution"] = None,
                  cpu_of: Optional[Callable[[str], "object"]] = None,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.metrics.recorder import Recorder
+from repro.telemetry.instruments import MetricsRegistry
 from repro.vm.vm import VirtualMachine
 
 __all__ = ["IdleWorkload"]
@@ -18,7 +18,7 @@ __all__ = ["IdleWorkload"]
 class IdleWorkload:
     """A tick participant that does nothing but record 0 ops/s."""
 
-    def __init__(self, vm: VirtualMachine, recorder: Recorder,
+    def __init__(self, vm: VirtualMachine, recorder: MetricsRegistry,
                  sim_now: Optional[Callable[[], float]] = None):
         self.vm = vm
         self.recorder = recorder

@@ -19,8 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.mem.manager import HostMemoryManager
-from repro.metrics.recorder import Recorder
 from repro.net.network import Network
+from repro.telemetry.instruments import MetricsRegistry
 from repro.util import GiB, MiB
 from repro.vm.vm import VirtualMachine
 from repro.workloads.base import PhasePlan, Workload, WorkloadParams
@@ -63,7 +63,7 @@ class KeyValueWorkload(Workload):
     def __init__(self, vm: VirtualMachine, network: Network,
                  client_host: str,
                  manager_of: Callable[[str], HostMemoryManager],
-                 recorder: Recorder, rng: np.random.Generator,
+                 recorder: MetricsRegistry, rng: np.random.Generator,
                  dataset_bytes: float,
                  query_plan: Optional[list[tuple[float, float]]] = None,
                  params: Optional[WorkloadParams] = None,

@@ -13,8 +13,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.mem.manager import HostMemoryManager
-from repro.metrics.recorder import Recorder
 from repro.net.network import Network
+from repro.telemetry.instruments import MetricsRegistry
 from repro.vm.vm import VirtualMachine
 from repro.workloads.base import PhasePlan, Workload, WorkloadParams
 
@@ -49,7 +49,7 @@ class OLTPWorkload(Workload):
     def __init__(self, vm: VirtualMachine, network: Network,
                  client_host: str,
                  manager_of: Callable[[str], HostMemoryManager],
-                 recorder: Recorder, rng: np.random.Generator,
+                 recorder: MetricsRegistry, rng: np.random.Generator,
                  dataset_bytes: float,
                  params: Optional[WorkloadParams] = None,
                  distribution=None, cpu_of=None,

@@ -6,7 +6,7 @@ import pytest
 from repro.sim import PeriodicTask, RngStreams, Simulator, TickEngine
 
 
-class Recorder:
+class PhaseLogger:
     """Minimal TickParticipant that logs phase invocations."""
 
     def __init__(self, log, name):
@@ -32,8 +32,8 @@ def test_tick_engine_phase_ordering():
     sim = Simulator()
     eng = TickEngine(sim, dt=1.0)
     log = []
-    eng.add_participant(Recorder(log, "p1"))
-    eng.add_participant(Recorder(log, "p2"))
+    eng.add_participant(PhaseLogger(log, "p1"))
+    eng.add_participant(PhaseLogger(log, "p2"))
     eng.add_arbiter(NullArbiter(log))
     eng.start()
     sim.run(until=1.0)
@@ -63,7 +63,7 @@ def test_tick_engine_repeats():
 def test_tick_engine_duplicate_participant_rejected():
     sim = Simulator()
     eng = TickEngine(sim, dt=1.0)
-    p = Recorder([], "p")
+    p = PhaseLogger([], "p")
     eng.add_participant(p)
     with pytest.raises(ValueError):
         eng.add_participant(p)

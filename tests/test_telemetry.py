@@ -1,6 +1,7 @@
 """Unit tests for repro.telemetry: instruments, registry semantics,
 exporters (byte-identity), the dashboard, and the pressure index."""
 
+import json
 import math
 
 import numpy as np
@@ -76,8 +77,10 @@ def test_gauge_history_follows_clock():
         clock.now = t
         g.set(v)
     assert g.value == 0.1
-    assert g.t == [1.0, 2.0, 3.0]
-    assert g.v == [0.25, 0.5, 0.1]
+    assert g.t.tolist() == [1.0, 2.0, 3.0]
+    assert g.v.tolist() == [0.25, 0.5, 0.1]
+    # the history is the gauge's own TimeSeries: read-only NumPy views
+    assert isinstance(g.v, np.ndarray) and not g.v.flags.writeable
 
 
 def test_histogram_exact_quantiles_and_buckets():
@@ -194,6 +197,25 @@ def test_prometheus_text_format(tmp_path):
     assert prometheus_text(MetricsRegistry()) == ""
 
 
+def test_exporters_emit_non_finite_values(tmp_path):
+    reg = MetricsRegistry()
+    reg.set("g.nan", float("nan"))
+    reg.set("g.pinf", float("inf"))
+    reg.set("g.ninf", float("-inf"))
+    text = prometheus_text(reg)
+    assert "repro_g_nan NaN\n" in text
+    assert "repro_g_pinf +Inf\n" in text
+    assert "repro_g_ninf -Inf\n" in text
+    lines = metrics_to_jsonl(reg, tmp_path / "m.jsonl").read_text()
+    # strict JSON: non-finite values travel as their exposition strings
+    docs = {d["name"]: d for d in map(
+        lambda ln: json.loads(ln, parse_constant=pytest.fail),
+        lines.splitlines()[1:])}
+    assert docs["g.nan"]["value"] == "NaN"
+    assert docs["g.pinf"]["max"] == "+Inf"
+    assert docs["g.ninf"]["mean"] == "-Inf"
+
+
 # -- dashboard ------------------------------------------------------------------
 
 def test_dashboard_renders_all_sections():
@@ -233,8 +255,38 @@ def test_world_binds_clock_and_publishes_memory_gauges():
     w.start_usage_feed(0.5)
     w.run(until=2.0)
     assert reg.clock() == w.sim.now
-    g = reg.get("mem.host.h1.used_bytes")
+    g = reg.get("host.h1.used_bytes")
     assert g is not None and g.value > 0
+
+
+def test_enabling_metrics_changes_no_simulated_output():
+    from repro.workloads import KeyValueWorkload
+    worlds = []
+    for reg in (None, MetricsRegistry()):
+        w = small_world(metrics=reg)
+        w.add_client_host("client")
+        w.add_workload(KeyValueWorkload(
+            w.vms["vm1"], w.network, "client", w.manager_of, w.recorder,
+            w.rng("wl.vm1"), dataset_bytes=8 * MiB,
+            sim_now=lambda w=w: w.sim.now))
+        w.start_usage_feed(0.5)
+        w.run(until=3.0)
+        worlds.append(w)
+    off, on = worlds
+    assert on.recorder is on.metrics and off.metrics is NULL_METRICS
+    assert isinstance(off.recorder, MetricsRegistry)
+    # the metrics run adds only the network's live gauge to the series
+    assert set(on.recorder.names()) - set(off.recorder.names()) == \
+        {"net.active_flows"}
+    for name in off.recorder.names():
+        a, b = off.recorder.series(name), on.recorder.series(name)
+        assert a.t.tobytes() == b.t.tobytes(), name
+        assert a.v.tobytes() == b.v.tobytes(), name
+    # each usage sample is written once, under one name
+    used = [n for n in on.recorder.names() if n.endswith("used_bytes")]
+    assert used == ["host.h1.used_bytes", "host.h2.used_bytes"]
+    assert len(on.recorder.series("host.h1.used_bytes")) == 6
+    assert on.recorder.series("vm1.throughput").v.max() > 0
 
 
 def test_world_defaults_to_null_metrics():
