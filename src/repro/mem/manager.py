@@ -61,13 +61,12 @@ class VmMemoryBinding:
     """
 
     __slots__ = ("vm_name", "pages", "cgroup", "backend", "fault_queue",
-                 "write_queue", "protect", "_backlog", "_batch", "_slot")
+                 "write_queue", "_backlog", "_batch", "_slot")
 
     def __init__(self, vm_name: str, pages: PageSet, cgroup: Cgroup,
                  backend: SwapBackend, fault_queue: DeviceQueue,
                  write_queue: DeviceQueue,
-                 writeback_backlog: float = 0.0,
-                 protect: Optional[np.ndarray] = None):
+                 writeback_backlog: float = 0.0):
         self.vm_name = vm_name
         self.pages = pages
         self.cgroup = cgroup
@@ -76,8 +75,6 @@ class VmMemoryBinding:
         self.fault_queue = fault_queue
         #: lane used for eviction writeback
         self.write_queue = write_queue
-        #: pages pinned against eviction (e.g. being scanned by migration)
-        self.protect = protect
         self._backlog = float(writeback_backlog)
         self._batch: Optional[HostCommitBatch] = None
         self._slot = -1
@@ -239,7 +236,7 @@ class HostMemoryManager:
                 raise RuntimeError("host eviction failed to converge")
             victim = self._pick_host_victim()
             if victim is None:
-                break  # nothing evictable (all pages pinned)
+                break  # no VM has resident pages
             over = self.total_resident_bytes() - usable
             k = int(np.ceil(over / victim.pages.page_size))
             n = self._evict(victim, k)
@@ -264,7 +261,7 @@ class HostMemoryManager:
 
     def _evict(self, b: VmMemoryBinding, k: int) -> int:
         pages = b.pages
-        victims = pages.lru_candidates(k, protect=b.protect)
+        victims = pages.lru_candidates(k)
         if victims.size == 0:
             return 0
         # Pages with a valid swap copy are dropped for free; the rest queue

@@ -16,27 +16,32 @@ A page in neither state was never allocated (the guest never touched it).
 All operations are NumPy-vectorized; no per-page Python loops.
 
 **Eviction order.** :meth:`PageSet.lru_candidates` evicts, among the
-eligible pages (present and not protected), the ``k`` smallest by the
-key ``(last_access, scramble(page))`` with
-``scramble(p) = p * 2654435761 mod 2**32``. The multiplier is odd, so
-``scramble`` is a bijection on 32-bit indices and the order is total:
-there are no implementation-defined ties. The tie-break matters. Most
-eviction calls split a tie group (usually the tick-0 preload group of
-60k-190k pages), and with plain ``(last_access, index)`` the low-index
-pages, which the KV workload queries, go before the never-queried tail:
-the paper's KV pressure run then fails its recovery check at seed 0
-(13,260 ops/s after migration against a 21,938 threshold). The scrambled
-order spreads each tie group's evictions evenly over the address space.
+present pages, the ``k`` smallest by the key ``(last_access,
+scramble(page))`` with ``scramble(p) = p * 2654435761 mod 2**32``. The
+multiplier is odd, so ``scramble`` is a bijection on 32-bit indices and
+the order is total: there are no implementation-defined ties. The
+tie-break matters. Most eviction calls split a tie group (usually the
+tick-0 preload group of 60k-190k pages), and with plain ``(last_access,
+index)`` the low-index pages, which the KV workload queries, go before
+the never-queried tail: the paper's KV pressure run then fails its
+recovery check at seed 0 (13,260 ops/s after migration against a 21,938
+threshold). The scrambled order spreads each tie group's evictions
+evenly over the address space.
 
-Cost model. Once a page set has been asked for victims it keeps an exact
-histogram of present pages per stamp, updated by every transition
-(O(pages changed)). A query reads the cut stamp ``T`` from the
-histogram's cumulative sum (O(stamps)); eligible pages older than ``T``
-are taken whole (one vectorized scan, only when there are any), and the
-stamp-``T`` tie group is walked in scramble order from a cursor over a
-cached int32 copy of the group, built once per cut stamp (O(group log
-group)) and freed once the group is consumed. A call that only eats
-into the cached group costs O(stamps + k).
+Cost model. A page set caches one **eviction run**: the present pages
+stamped at or below a horizon ``H`` (the newest stamp seen, minus one,
+when the run was built), as an int32 array in eviction order, walked
+from a cursor. An entry is live iff its page is present and still
+stamped at or below ``H``; a query takes live entries and moves the
+cursor past the stale ones, so a call costs O(k + stale entries
+skipped). Transitions cost O(pages changed): leaving residency or a
+restamp above ``H`` only makes entries stale, and a restamp at or below
+``H`` (non-monotone ticks, when a page set changes managers) discards
+the run, because the page may sort behind the cursor. Once no live entry
+is left, the next build sorts only the newly closed stamps ``(H,
+newest - 1]`` (one scan and one uint64 key sort); pages at the open,
+newest stamp are sorted per call, and only once everything older is
+gone.
 
 Residency is counted incrementally: every transition updates a running
 resident-page counter so :meth:`PageSet.resident_pages` is O(1). This is
@@ -70,6 +75,10 @@ def scramble(idx: np.ndarray) -> np.ndarray:
     return keys
 
 
+#: the empty eviction run
+_NO_RUN = np.empty(0, dtype=np.int32)
+
+
 class PageSet:
     """State arrays for ``n_pages`` pages of ``page_size`` bytes each."""
 
@@ -92,15 +101,13 @@ class PageSet:
         #: running count of set ``present`` bits (kept exact by the
         #: transition methods; O(1) residency queries)
         self._n_resident = 0
-        #: present pages per ``last_access`` stamp; built by the first
-        #: eviction query, then kept exact by the transition methods
-        self._stamps: np.ndarray | None = None
-        #: the cut stamp's tie group in scramble order (int32), the stamp
-        #: it belongs to and the walk's cursor: every present page with
-        #: that stamp is in ``_tie[_tie_pos:]``
-        self._tie: np.ndarray | None = None
-        self._tie_stamp = -1
-        self._tie_pos = 0
+        #: the newest stamp any page has been given
+        self._newest = -1
+        #: the eviction run (see the module docstring): every present
+        #: page stamped at or below ``_horizon`` is in ``_run[_pos:]``
+        self._run = _NO_RUN
+        self._horizon = -1
+        self._pos = 0
 
     # -- derived quantities -------------------------------------------------
     @property
@@ -136,33 +143,26 @@ class PageSet:
             raise AssertionError(
                 f"resident counter drifted: {self._n_resident} != "
                 f"{int(np.count_nonzero(self.present))}")
-        hist = self._stamps
-        if hist is not None:
-            recount = np.bincount(self.last_access[self.present],
-                                  minlength=hist.size)
-            if recount.size != hist.size or np.any(recount != hist):
-                raise AssertionError("stamp histogram drifted")
-        if self._tie is not None:
-            tie = self._tie
-            if tie.dtype != np.int32:
-                raise AssertionError(f"tie cache is {tie.dtype}, not int32")
-            if np.any(np.diff(scramble(tie).astype(np.int64)) <= 0):
-                raise AssertionError("tie cache not in scramble order")
-            group = np.flatnonzero(self.present
-                                   & (self.last_access == self._tie_stamp))
-            if group.size == 0:
-                raise AssertionError("consumed tie cache not freed")
-            if not np.all(np.isin(group, tie[self._tie_pos:])):
-                raise AssertionError("tie group page behind the cursor")
+        run, horizon = self._run, self._horizon
+        if run.dtype != np.int32:
+            raise AssertionError(f"eviction run is {run.dtype}, not int32")
+        if horizon < 0:
+            return  # no run: nothing is stamped at or below the horizon
+        live = self.present[run] & (self.last_access[run] <= horizon)
+        if live[:self._pos].any():
+            raise AssertionError("live run entry behind the cursor")
+        ahead = run[self._pos:][live[self._pos:]]
+        keys = self._keys(ahead)
+        if np.any(keys[1:] <= keys[:-1]):
+            raise AssertionError("live run entries not in eviction order")
+        closed = np.flatnonzero(self.present & (self.last_access <= horizon))
+        if closed.size != ahead.size or np.any(np.sort(ahead) != closed):
+            raise AssertionError("closed present page missing from the run")
 
     # -- transitions ---------------------------------------------------------
     def touch(self, idx: np.ndarray, tick: int) -> None:
         """Record access time for LRU; only present pages are restamped."""
-        idx = idx[self.present[idx]]
-        if self._stamps is not None:
-            self._unstamp(idx)
-            self._stamp(idx.size, tick)
-        self.last_access[idx] = tick
+        self._stamp(idx[self.present[idx]], tick)
 
     def mark_dirty(self, idx: np.ndarray) -> None:
         """Record guest writes: sets the migration dirty bit and invalidates
@@ -180,14 +180,10 @@ class PageSet:
         ``swap_clean`` stays set); freshly allocated pages have none.
         Returns the number of pages that became newly resident.
         """
-        was = self.present[idx]
-        newly = idx.size - int(np.count_nonzero(was))
-        if self._stamps is not None:
-            self._unstamp(idx[was])
-            self._stamp(idx.size, tick)
+        newly = idx.size - int(np.count_nonzero(self.present[idx]))
         self.present[idx] = True
         self.swapped[idx] = False
-        self.last_access[idx] = tick
+        self._stamp(idx, tick)
         self._n_resident += newly
         return newly
 
@@ -198,7 +194,7 @@ class PageSet:
         manager's writeback queue) a valid copy on the device. Returns
         the number of pages that were resident before the call.
         """
-        gone = self._unstamp_present(idx)
+        gone = int(np.count_nonzero(self.present[idx]))
         self.present[idx] = False
         self.swapped[idx] = True
         self.swap_clean[idx] = True
@@ -208,7 +204,7 @@ class PageSet:
     def drop(self, idx: np.ndarray) -> int:
         """Discard pages entirely (used when freeing a migrated-away VM).
         Returns the number of previously resident pages dropped."""
-        gone = self._unstamp_present(idx)
+        gone = int(np.count_nonzero(self.present[idx]))
         self.present[idx] = False
         self.swapped[idx] = False
         self.swap_clean[idx] = False
@@ -223,45 +219,21 @@ class PageSet:
         reachable from the portable per-VM device (§IV-B). Returns the
         number of previously resident pages released.
         """
-        gone = self._unstamp_present(idx)
+        gone = int(np.count_nonzero(self.present[idx]))
         self.present[idx] = False
         self._n_resident -= gone
         return gone
 
-    # -- stamp histogram -----------------------------------------------------
-    def _unstamp(self, idx: np.ndarray) -> None:
-        """Take present pages ``idx`` out of the stamp histogram."""
-        hist = self._stamps
-        np.subtract.at(hist, self.last_access[idx], 1)
-        if self._tie is not None and hist[self._tie_stamp] == 0:
-            self._free_tie()
-
-    def _unstamp_present(self, idx: np.ndarray) -> int:
-        """Histogram update for pages ``idx`` leaving residency; returns
-        how many of them were present."""
-        was = self.present[idx]
-        if self._stamps is not None:
-            self._unstamp(idx[was])
-        return int(np.count_nonzero(was))
-
-    def _stamp(self, n: int, tick: int) -> None:
-        """Count ``n`` present pages into stamp ``tick``."""
+    def _stamp(self, idx: np.ndarray, tick: int) -> None:
+        """Stamp present pages ``idx`` with ``tick``, keeping the run exact."""
         if tick < 0:
             raise ValueError(f"tick stamps must be non-negative: {tick}")
-        hist = self._stamps
-        if tick >= hist.size:
-            grown = np.zeros(max(tick + 1, 2 * hist.size), dtype=np.int64)
-            grown[:hist.size] = hist
-            self._stamps = hist = grown
-        hist[tick] += n
-        if tick == self._tie_stamp:
-            # pages joining the cached group may sort behind the cursor
-            self._free_tie()
-
-    def _free_tie(self) -> None:
-        self._tie = None
-        self._tie_stamp = -1
-        self._tie_pos = 0
+        if tick > self._newest:
+            self._newest = tick
+        elif tick <= self._horizon and idx.size:
+            # the pages may sort behind the cursor
+            self._run, self._horizon, self._pos = _NO_RUN, -1, 0
+        self.last_access[idx] = tick
 
     # -- queries used by eviction and migration --------------------------------
     def present_indices(self) -> np.ndarray:
@@ -273,91 +245,71 @@ class PageSet:
     def dirty_indices(self) -> np.ndarray:
         return np.flatnonzero(self.dirty)
 
-    def lru_candidates(self, k: int, protect: np.ndarray | None = None
-                       ) -> np.ndarray:
-        """Indices of the ``k`` eligible pages that go first, in eviction
+    def lru_candidates(self, k: int) -> np.ndarray:
+        """Indices of the ``k`` present pages that go first, in eviction
         order: smallest ``(last_access, scramble(page))`` first (see the
-        module docstring). Returns every eligible page when there are at
-        most ``k``.
-
-        ``protect`` (a boolean mask) excludes pages from eviction — used to
-        pin pages the migration manager is about to send.
+        module docstring). Returns every present page when there are at
+        most ``k``. A query does not consume the run: until the pages
+        leave residency, asking again returns them again.
         """
-        if k <= 0:
-            return np.empty(0, dtype=np.int64)
-        hist = self._stamps
-        if hist is None:
-            hist = self._stamps = np.bincount(
-                self.last_access[self.present], minlength=1)
-        counts = hist
-        if protect is not None:
-            counts = hist - np.bincount(
-                self.last_access[self.present & protect], minlength=hist.size)
-        cum = np.cumsum(counts)
-        if cum[-1] <= k:
-            cut, need = hist.size, 0  # every eligible page goes
-        else:
-            cut = int(np.searchsorted(cum, k))  # first stamp reaching k
-            need = k - (int(cum[cut - 1]) if cut else 0)
-        older = np.empty(0, dtype=np.int64)
-        if cut and cum[cut - 1]:
-            eligible = self.present & (self.last_access < cut)
-            if protect is not None:
-                eligible &= ~protect
-            older = np.flatnonzero(eligible)
-            older = older[np.lexsort((scramble(older),
-                                      self.last_access[older]))]
-        if need == 0:
-            return older
-        return np.concatenate((older, self._walk_tie(cut, need, protect)))
-
-    def _walk_tie(self, stamp: int, need: int,
-                  protect: np.ndarray | None) -> np.ndarray:
-        """The ``need`` lowest-scramble eligible pages stamped ``stamp``."""
-        if self._tie_stamp != stamp:
-            # sort the group's keys, then map them back to pages: the
-            # bijection spares an argsort and its int64 index array
-            keys = scramble(np.flatnonzero(
-                self.present & (self.last_access == stamp)))
-            keys.sort()
-            keys *= _UNSCRAMBLE
-            self._tie = keys.view(np.int32)
-            self._tie_stamp = stamp
-            self._tie_pos = 0
-        tie, pos = self._tie, self._tie_pos
-        chunk = max(4 * need, 64)
-        picked, got, anchored = [], 0, False
-        while got < need:
-            if pos >= tie.size:
-                raise AssertionError("stamp histogram out of step with pages")
-            block = tie[pos:pos + chunk]
-            live = self.present[block] & (self.last_access[block] == stamp)
-            if not anchored and live.any():
+        picked, got = [], 0
+        present, stamps = self.present, self.last_access
+        pos, anchored, chunk = self._pos, False, max(4 * k, 64)
+        while got < k:
+            run, horizon = self._run, self._horizon
+            if pos >= run.size:
+                if self._newest - 1 > horizon:
+                    # no live entry is left: close the aged stamps
+                    self._build(picked)
+                    pos, anchored = got, True
+                    continue
+                # only the open stamp is left
+                if not got:
+                    self._run, self._pos = _NO_RUN, 0  # spent: free it
+                keys = scramble(np.flatnonzero(present & (stamps > horizon)))
+                keys.sort()
+                keys *= _UNSCRAMBLE
+                picked.append(keys.view(np.int32)[:k - got])
+                break
+            block = run[pos:pos + chunk]
+            live = present[block] & (stamps[block] <= horizon)
+            if not anchored:
                 # entries before the first live one are stale for good: a
-                # page rejoins this group only by a restamp, which frees
-                # the cache
-                self._tie_pos = pos + int(np.argmax(live))
-                anchored = True
-            if protect is not None:
-                live &= ~protect[block]
-            take = block[live][:need - got]
+                # page rejoins the run's stamps only by a restamp, which
+                # discards the run
+                if live.any():
+                    self._pos, anchored = pos + int(np.argmax(live)), True
+                else:
+                    self._pos = pos + block.size
+            take = block[live][:k - got]
             picked.append(take)
             got += take.size
             pos += block.size
+        if not picked:
+            return np.empty(0, dtype=np.int64)
         return np.concatenate(picked).astype(np.int64)
 
-    def non_present_in(self, lo: int, hi: int) -> np.ndarray:
-        """Page indices in [lo, hi) that are not resident."""
-        return lo + np.flatnonzero(~self.present[lo:hi])
+    def _build(self, live: list[np.ndarray]) -> None:
+        """Rebuild the run: the ``live`` entries left (in order), then the
+        present pages stamped in ``(_horizon, _newest - 1]``, sorted."""
+        lo, hi = self._horizon, self._newest - 1
+        stamps = self.last_access
+        keys = self._keys(np.flatnonzero(
+            self.present & (stamps > lo) & (stamps <= hi)))
+        # sort the keys, then map their low words back to pages: the
+        # bijection spares an argsort and its int64 index array
+        keys.sort()
+        pages = keys.astype(np.uint32)
+        del keys
+        pages *= _UNSCRAMBLE
+        run = pages.view(np.int32)
+        self._run = np.concatenate(live + [run]) if live else run
+        self._horizon, self._pos = hi, 0
 
-    def sample_non_present(self, lo: int, hi: int, k: int,
-                           rng: np.random.Generator) -> np.ndarray:
-        """Up to ``k`` distinct non-resident pages sampled from [lo, hi).
-
-        Used by the statistical workload model: these are the pages the
-        tick's faulting accesses landed on.
-        """
-        missing = self.non_present_in(lo, hi)
-        if missing.size <= k:
-            return missing
-        return rng.choice(missing, size=k, replace=False)
+    def _keys(self, idx: np.ndarray) -> np.ndarray:
+        """Eviction sort keys ``stamp << 32 | scramble(page)`` (uint64) of
+        pages ``idx``; they order as the ``(stamp, scramble)`` pairs do."""
+        keys = self.last_access[idx].view(np.uint64)  # a fresh copy
+        keys <<= np.uint64(32)
+        keys |= scramble(idx)
+        return keys

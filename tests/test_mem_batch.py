@@ -7,7 +7,7 @@ replays the oracle's float operations in the same order, so ``==`` is
 the contract (the same policy as ``tests/test_net_fastpath.py`` for the
 network arbiter). These tests drive twin hosts (one per implementation)
 through identical randomized churn — fault storms, cgroup shrinks,
-host-pressure eviction with pinned pages, writeback-debt throttling,
+host-pressure eviction, writeback-debt throttling,
 mid-run VM register/unregister — and compare every backlog, queue
 demand, grant, residency count and cgroup counter exactly.
 
@@ -86,12 +86,6 @@ class TwinHost:
             mgr.binding(name).cgroup.set_reservation(
                 reservation_pages * PAGE)
             mgr.shrink_to_reservation(name)
-
-    def protect(self, name, mask):
-        self.fast.binding(name).protect = None if mask is None \
-            else mask.copy()
-        self.ref.binding(name).protect = None if mask is None \
-            else mask.copy()
 
     def free_vm(self, name):
         self.fast.free_vm_memory(name)
@@ -197,32 +191,19 @@ def test_differential_writeback_debt_throttle(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_differential_host_pressure_pinned(seed):
-    """Host-pressure eviction with rotating protect masks: the victim
-    choice (most-over-reservation, first-registered tie-break) and the
-    LRU scan under pinning must agree exactly."""
+def test_differential_host_pressure(seed):
+    """Host-pressure eviction: the victim choice (most-over-reservation,
+    first-registered tie-break) and the LRU walk must agree exactly."""
     rng = random.Random(seed)
     # reservations alone exceed usable memory: every fault storm runs
     # the host-pressure loop, not just the cgroup cap
     twin = TwinHost(mem_mib=3, os_mib=1, write_bps=128 * PAGE * 10)
     for i in range(3):
         twin.register(f"vm{i}", n_pages=400, reservation_pages=400)
-    masks = {}
     for step in range(150):
         for name in list(twin.vms):
             if rng.random() < 0.7:
                 twin.fault_in(name, _random_idx(rng, 400))
-        if rng.random() < 0.2:
-            name = rng.choice(list(twin.vms))
-            if rng.random() < 0.5 or name not in masks:
-                mask = np.zeros(400, dtype=bool)
-                lo = rng.randrange(300)
-                mask[lo:lo + rng.randrange(20, 100)] = True
-                masks[name] = mask
-                twin.protect(name, mask)
-            else:
-                del masks[name]
-                twin.protect(name, None)
         twin.tick(dt=0.1)
 
 

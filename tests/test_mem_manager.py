@@ -119,20 +119,6 @@ def test_dirty_pages_need_writeback_on_reeviction():
     assert binding.writeback_backlog == 2 * PAGE
 
 
-def test_protect_mask_prevents_eviction():
-    host = make_host()
-    vm = make_vm()
-    binding, _ = place(host, vm, 10)
-    host.memory.fault_in("vm1", np.arange(10))
-    protect = np.zeros(vm.n_pages, dtype=bool)
-    protect[:10] = True
-    binding.protect = protect
-    host.memory.tick = 1
-    host.memory.fault_in("vm1", np.arange(10, 15))
-    # protected pages stay; the newly faulted ones are the only candidates
-    assert np.all(vm.pages.present[:10])
-
-
 def test_host_capacity_enforced_across_vms():
     # host: 10 MiB - 1 MiB OS = 9 MiB usable = 2304 pages
     host = make_host(mem_mib=10, os_mib=1)
