@@ -1,4 +1,4 @@
-"""Scale bench: the fast-path arbiter and batched commit at datacenter size.
+"""Scale bench: the fast-path arbiter and fast commit at datacenter size.
 
 Not a paper figure — this tracks the *trajectory* of the codebase: how
 fast the fabric, the per-host commit protocol, and the cluster control
@@ -9,8 +9,9 @@ conservative so CI stays green on noisy runners:
 
 * the fast path's grants must be *identical* to the reference oracle's
   over every tick (the real contract — correctness, not speed);
-* the batched commit state must be *identical* to the scalar oracle's
-  over every tick of the commit bench (same contract for repro.mem);
+* the fast commit path's state must be *identical* to the scalar
+  reference's over every tick of the commit bench (same contract for
+  repro.mem);
 * the fast paths must not be dramatically slower than the references at
   CI scale (at full scale both are >5x faster; quick scale has too few
   flows/VMs for the vectorization to pay off by a large factor);
@@ -43,7 +44,7 @@ def test_fast_path_grants_identical_at_scale(quick_result):
 def test_commit_batch_identical_to_oracle_at_scale(quick_result):
     com = quick_result["commit"]
     assert com["states_match"], (
-        f"batched commit state diverged from the scalar oracle on "
+        f"fast commit state diverged from the scalar reference on "
         f"{com['state_mismatch_ticks']} of "
         f"{com['state_ticks_compared']} ticks")
     assert com["state_ticks_compared"] > 0
@@ -59,8 +60,8 @@ def test_fast_path_not_slower_than_reference(quick_result):
 
 
 def test_commit_batch_not_slower_than_oracle(quick_result):
-    # Same conservative bound as the fabric: the batched manager loop
-    # must not be dramatically slower than the scalar oracle even at
+    # Same conservative bound as the fabric: the fast manager loop
+    # must not be dramatically slower than the scalar reference even at
     # quick scale (full-scale manager-phase speedup is >3x).
     com = quick_result["commit"]
     assert com["speedup_manager"] > 0.5
@@ -103,8 +104,8 @@ def test_scale_bench(benchmark, emit, quick_result):
         f"{fab['reference']['arbiter_us_per_tick']:8,.0f} us/tick",
         f"  speedup   {fab['speedup_ticks_per_s']:.1f}x ticks/s "
         f"(full-scale figures: BENCH_scale.json)",
-        f"  commit    {com['fast']['ticks_per_s']:10,.0f} ticks/s batched "
-        f"vs {com['reference']['ticks_per_s']:,.0f} oracle "
+        f"  commit    {com['fast']['ticks_per_s']:10,.0f} ticks/s fast "
+        f"vs {com['reference']['ticks_per_s']:,.0f} reference "
         f"({com['speedup_manager']:.1f}x manager phase)",
         f"  cluster   {clu['ticks_per_s']:10,.0f} ticks/s "
         f"({clu['hosts']} hosts, tick.commit share {share:.0%})",

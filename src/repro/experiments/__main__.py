@@ -221,8 +221,8 @@ def cmd_scale(args) -> int:
         print("  FAIL: fast-path grants diverged from the reference oracle")
         rc = 1
     if not res.get("commit", {}).get("states_match", True):
-        print("  FAIL: batched commit state diverged from the scalar "
-              "oracle")
+        print("  FAIL: fast commit state diverged from the scalar "
+              "reference")
         rc = 1
     if args.min_fabric_speedup is not None:
         speedup = res["fabric"]["speedup_ticks_per_s"]

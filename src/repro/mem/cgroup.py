@@ -33,9 +33,6 @@ class Cgroup:
         #: lifetime swap traffic in bytes (monotonic counters, iostat-style)
         self.swap_in_bytes_total = 0.0
         self.swap_out_bytes_total = 0.0
-        #: callbacks fired on reservation changes (the batched commit
-        #: path mirrors reservations into dense per-host arrays)
-        self._watchers: list = []
 
     # -- reservation -----------------------------------------------------------
     @property
@@ -47,15 +44,6 @@ class Cgroup:
         if new_bytes < 0:
             raise ValueError("reservation must be non-negative")
         self._reservation = float(new_bytes)
-        for cb in self._watchers:
-            cb(self._reservation)
-
-    def add_reservation_watcher(self, cb) -> None:
-        """Register ``cb(new_bytes)`` to fire on every reservation change."""
-        self._watchers.append(cb)
-
-    def remove_reservation_watcher(self, cb) -> None:
-        self._watchers.remove(cb)
 
     # -- accounting -----------------------------------------------------------
     def account_swap_in(self, n_bytes: float) -> None:

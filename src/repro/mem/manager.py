@@ -19,13 +19,19 @@ free; dirtying a page invalidates the copy.
 
 Two implementations of the tick-phase bookkeeping coexist:
 
-* the **scalar oracle** (``fast_path=False``) loops over every binding
+* the **scalar reference** (``fast_path=False``) visits every binding
   per phase — the reference semantics, kept simple and auditable;
-* the **batched path** (``fast_path=True``, the default) interns
-  bindings into a :class:`~repro.mem.batch.HostCommitBatch` and visits
-  only slots with pending work. The two are bit-identical — the
-  randomized differential suite in ``tests/test_mem_batch.py`` holds
-  them to exact (``==``) equality after every tick.
+* the **fast path** (``fast_path=True``, the default) visits only the
+  bindings in one *pending set*, ``_writeback``: the bindings whose
+  writeback backlog or last-declared write demand may be nonzero. A
+  binding outside the set is provably idle (zero backlog, zero write
+  demand), so an idle host pays one truthiness check per phase. The two
+  are bit-identical — the randomized differential suite in
+  ``tests/test_mem_batch.py`` holds them to exact (``==``) equality
+  after every tick.
+
+Both paths share the host-pressure victim search (dict order, strict
+``>``), which reads the O(1) per-VM residency counters.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.mem.batch import HostCommitBatch
 from repro.mem.cgroup import Cgroup
 from repro.mem.device import DeviceQueue, SwapBackend
 from repro.mem.pages import PageSet
@@ -54,14 +59,14 @@ class VmMemoryBinding:
     to the destination copy, while the source host keeps managing the
     source-side copy until the push phase finishes.
 
-    ``writeback_backlog`` is a property: while the binding is interned
-    in a fast-path batch it proxies the dense array cell, so engines
-    that carry debt across a re-registration and the batched drain see
-    one coherent value.
+    ``writeback_backlog`` sits behind a small setter: a nonzero write
+    enrolls the binding in its manager's pending set, so every writer —
+    eviction, a migration engine carrying debt across a re-registration,
+    a test — keeps the fast path's skip invariant without knowing it.
     """
 
     __slots__ = ("vm_name", "pages", "cgroup", "backend", "fault_queue",
-                 "write_queue", "_backlog", "_batch", "_slot")
+                 "write_queue", "_backlog", "_pending")
 
     def __init__(self, vm_name: str, pages: PageSet, cgroup: Cgroup,
                  backend: SwapBackend, fault_queue: DeviceQueue,
@@ -76,25 +81,18 @@ class VmMemoryBinding:
         #: lane used for eviction writeback
         self.write_queue = write_queue
         self._backlog = float(writeback_backlog)
-        self._batch: Optional[HostCommitBatch] = None
-        self._slot = -1
+        #: the fast-path manager's pending set while registered, else None
+        self._pending: Optional[dict[str, VmMemoryBinding]] = None
 
     @property
     def writeback_backlog(self) -> float:
-        batch = self._batch
-        if batch is not None:
-            return float(batch.backlog[self._slot])
         return self._backlog
 
     @writeback_backlog.setter
     def writeback_backlog(self, value: float) -> None:
-        batch = self._batch
-        if batch is not None:
-            batch.backlog[self._slot] = value
-            if value != 0.0:
-                batch._maybe_work = True
-        else:
-            self._backlog = float(value)
+        self._backlog = value = float(value)
+        if value != 0.0 and self._pending is not None:
+            self._pending[self.vm_name] = self
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"VmMemoryBinding(vm_name={self.vm_name!r}, "
@@ -112,7 +110,7 @@ class HostMemoryManager:
 
     #: resolved when ``fast_path`` is not passed explicitly; the
     #: differential tests flip this to run whole scenarios against the
-    #: scalar oracle without threading a flag through every builder
+    #: scalar reference without threading a flag through every builder
     DEFAULT_FAST_PATH: bool = True
 
     #: live-metrics sink; class-level no-op default so standalone
@@ -131,7 +129,11 @@ class HostMemoryManager:
         self._bindings: dict[str, VmMemoryBinding] = {}
         self.fast_path = (self.DEFAULT_FAST_PATH if fast_path is None
                           else bool(fast_path))
-        self._batch = HostCommitBatch() if self.fast_path else None
+        #: fast path's pending set: the bindings whose writeback backlog
+        #: or last-declared write demand may be nonzero. Every other
+        #: binding has both at 0.0 (nothing but ``pre_tick`` declares
+        #: writeback demand), so the tick phases skip it.
+        self._writeback: dict[str, VmMemoryBinding] = {}
         self.tick = 0
 
     # -- registration ----------------------------------------------------------
@@ -147,8 +149,8 @@ class HostMemoryManager:
                                            host=self.host),
         )
         self._bindings[vm.name] = binding
-        if self._batch is not None:
-            self._batch.add(binding)
+        if self.fast_path:
+            binding._pending = self._writeback
         return binding
 
     def unregister_vm(self, vm_name: str) -> None:
@@ -158,10 +160,9 @@ class HostMemoryManager:
         # The VM's writeback debt departs with it: the queued writes
         # belonged to a QEMU process that no longer exists on this host,
         # so they must not keep demanding device bandwidth.
-        if binding._batch is not None:
-            binding._batch.remove(binding._slot)
-        else:
-            binding._backlog = 0.0
+        self._writeback.pop(vm_name, None)
+        binding._pending = None
+        binding._backlog = 0.0
 
     def binding(self, vm_name: str) -> VmMemoryBinding:
         return self._bindings[vm_name]
@@ -246,9 +247,8 @@ class HostMemoryManager:
         return total
 
     def _pick_host_victim(self) -> Optional[VmMemoryBinding]:
-        """Evict from the VM most over its reservation, else the largest."""
-        if self._batch is not None:
-            return self._batch.pick_victim()
+        """Evict from the VM most over its reservation (ties: the first
+        registered)."""
         best, best_over = None, -float("inf")
         for b in self._bindings.values():
             resident = b.pages.resident_bytes()
@@ -306,27 +306,31 @@ class HostMemoryManager:
         writes demand 0.0 — so stale demand cannot persist when the
         backing device's arbiter disappears mid-run (VMD server loss).
         """
-        batch = self._batch
-        if batch is not None:
-            # guard inlined: an idle host skips even the call frame
-            if batch._maybe_work:
-                batch.pre_tick_demands(self.writeback_debt_cap)
-            return
+        fast = self.fast_path
+        if fast:
+            pending = self._writeback
+            if not pending:  # an idle host stops here
+                return
+            bindings = list(pending.values())
+        else:
+            bindings = self._bindings.values()
         cap = self.writeback_debt_cap
-        for b in self._bindings.values():
+        for b in bindings:
             d = b._backlog
             b.write_queue.demand = d
             if d > cap and b.fault_queue.demand > 0:
                 b.fault_queue.demand *= cap / d
+            elif fast and d == 0.0:
+                # declared 0: idle until a nonzero backlog write
+                # re-enrolls it
+                del pending[b.vm_name]
 
     def commit_tick(self, dt: float) -> None:
         self.tick += 1
-        batch = self._batch
-        if batch is not None:
-            if batch._maybe_work:
-                batch.drain()
-            return
-        for b in self._bindings.values():
+        # bindings outside the pending set have zero backlog, for which
+        # the drain is a no-op whatever their grant
+        for b in (self._writeback if self.fast_path
+                  else self._bindings).values():
             g = b.write_queue.granted
             if g > 0:
                 b._backlog = max(0.0, b._backlog - g)

@@ -9,10 +9,10 @@ package measures what that costs at datacenter scale so the trajectory
   migration flows and mostly-idle application channels, driven through
   both arbiter implementations; reports their throughput and verifies
   the fast path's grants are identical to the reference oracle's;
-* :func:`commit_bench` — fleets of per-host memory managers (batched
-  vs scalar-oracle commit state) replaying the same fault/dirty/shrink
-  churn; reports commit-protocol throughput and verifies the batched
-  state is identical to the oracle's;
+* :func:`commit_bench` — fleets of per-host memory managers (the
+  pending-set fast path vs the scalar reference) replaying the same
+  fault/dirty/shrink churn; reports commit-protocol throughput and
+  verifies the fast path's state is identical to the reference's;
 * :func:`cluster_bench` — the full datacenter rebalance scenario
   (world, control plane, engines) scaled up, reporting end-to-end
   ticks/s.

@@ -11,11 +11,11 @@ flow population and demand sequence tick for tick — which is what makes
 the grant-equality check meaningful and the timing comparison fair.
 
 The commit bench does the same for the *memory* side: twin fleets of
-per-host memory managers (one batched, one scalar oracle) replay the
-same seeded fault/dirty/shrink churn and the per-tick commit protocol
-(pre-tick demand declaration → device arbitration → commit drain) is
-timed on each, with a verification pass comparing every backlog, grant
-and residency counter exactly.
+per-host memory managers (one on the pending-set fast path, one on the
+scalar reference) replay the same seeded fault/dirty/shrink churn and
+the per-tick commit protocol (pre-tick demand declaration → device
+arbitration → commit drain) is timed on each, with a verification pass
+comparing every backlog, grant and residency counter exactly.
 
 The last timed fabric pass of each arm also records per-flow grants
 (the row copies are kept out of its timings), and the two arms' grants
@@ -99,14 +99,14 @@ class ScaleConfig:
     cluster_racks_per_pod: int = 0
     cluster_pods_per_az: int = 0
     #: commit-path bench: hosts × VMs of memory-manager churn (the
-    #: 200-host datapoint for the batched commit state); hosts are dense
-    #: (16 VMs) because per-host batching is what is being measured
+    #: 200-host datapoint for the fast commit path); hosts are dense
+    #: (16 VMs) because skipping a host's idle VMs is what is measured
     commit_hosts: int = 200
     commit_vms_per_host: int = 16
     commit_vm_pages: int = 256
     commit_ticks: int = 200
     #: fraction of VMs doing fault/dirty work per tick; the idle rest is
-    #: the point — the scalar oracle still visits every binding per tick
+    #: the point — the scalar reference still visits every binding per tick
     commit_activity: float = 0.1
 
     @staticmethod
@@ -389,7 +389,8 @@ class _CommitDriver:
     memory) so fault storms exercise host-pressure eviction and victim
     selection; the slow write device keeps writeback backlogs alive so
     the commit drain has real work. Most VMs stay idle on most ticks —
-    the population the scalar oracle pays for and the batch skips.
+    the population the scalar reference pays for and the fast path's
+    pending set skips.
     """
 
     def __init__(self, cfg: ScaleConfig, fast_path: bool):
@@ -409,8 +410,8 @@ class _CommitDriver:
                 fast_path=fast_path)
             # write bandwidth drains an eviction storm within a few
             # ticks: the steady state has a mostly-idle VM population
-            # (zero backlog), which is what the batch skips and the
-            # scalar oracle pays for
+            # (zero backlog), which is what the fast path skips and the
+            # scalar reference pays for
             dev = SSDSwapDevice(f"ssd{h}", read_bps=4096 * _PAGE,
                                 write_bps=1024 * _PAGE)
             for v in range(n_vms):
@@ -423,7 +424,7 @@ class _CommitDriver:
     def _churn(self) -> None:
         # activity concentrates on a few hot hosts per tick: at any
         # instant most of a fleet is quiet, and that idle majority is
-        # exactly the population whose per-tick cost the batch removes
+        # exactly the population whose per-tick cost the fast path removes
         cfg, rng = self.cfg, self.rng
         n_vms = cfg.commit_vms_per_host
         width = max(8, cfg.commit_vm_pages // 8)
@@ -492,7 +493,7 @@ class _CommitDriver:
 
 def commit_bench(cfg: ScaleConfig, check_states: bool = True,
                  repeats: int = 2) -> dict:
-    """Time the batched commit path against the scalar oracle.
+    """Time the fast commit path against the scalar reference.
 
     Mirrors :func:`fabric_bench`: both fleets replay the same seeded
     churn, the best of ``repeats`` timing passes is kept, and a separate
@@ -630,7 +631,7 @@ def check_regression(current: dict, baseline: dict,
         failures.append("fast-path grants diverged from the reference")
     if not current.get("commit", {}).get("states_match", True):
         failures.append(
-            "batched commit state diverged from the scalar oracle")
+            "fast commit state diverged from the scalar reference")
     return failures
 
 
@@ -669,10 +670,10 @@ def format_summary(res: dict) -> list[str]:
             f"commit: {com['hosts']} hosts / {com['vms']} VMs, "
             f"{com['ticks']} ticks")
         lines.append(
-            f"  batched   {com['fast']['ticks_per_s']:10,.0f} ticks/s   "
+            f"  fast      {com['fast']['ticks_per_s']:10,.0f} ticks/s   "
             f"{com['fast']['manager_us_per_tick']:8,.0f} mgr-us/tick")
         lines.append(
-            f"  oracle    {com['reference']['ticks_per_s']:10,.0f} ticks/s   "
+            f"  reference {com['reference']['ticks_per_s']:10,.0f} ticks/s   "
             f"{com['reference']['manager_us_per_tick']:8,.0f} mgr-us/tick")
         lines.append(
             f"  speedup   {com['speedup_manager']:.1f}x manager, "

@@ -21,7 +21,6 @@ from repro.workloads.base import (
 from repro.workloads.distribution import (
     AccessDistribution,
     UniformAccess,
-    ZipfAccess,
 )
 from repro.workloads.kv import KeyValueWorkload, ycsb_redis_params
 from repro.workloads.oltp import OLTPWorkload, sysbench_mysql_params
@@ -36,7 +35,6 @@ __all__ = [
     "PhasePlan",
     "UniformAccess",
     "Workload",
-    "ZipfAccess",
     "WorkloadParams",
     "sysbench_mysql_params",
     "ycsb_redis_params",

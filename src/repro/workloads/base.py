@@ -41,6 +41,7 @@ from repro.net.network import Network
 from repro.telemetry.instruments import MetricsRegistry
 from repro.util import PAGE_SIZE
 from repro.vm.vm import VirtualMachine
+from repro.workloads.distribution import UniformAccess
 
 __all__ = ["FaultRouter", "PhasePlan", "Workload", "WorkloadParams"]
 
@@ -156,11 +157,8 @@ class Workload:
                  manager_of: Callable[[str], HostMemoryManager],
                  recorder: MetricsRegistry, rng: np.random.Generator,
                  params: Optional[WorkloadParams] = None,
-                 distribution: Optional["AccessDistribution"] = None,
                  cpu_of: Optional[Callable[[str], "object"]] = None,
                  sim_now: Optional[Callable[[], float]] = None):
-        from repro.workloads.distribution import UniformAccess
-
         self.vm = vm
         #: optional host-CPU arbiter lookup (host name -> CpuArbiter);
         #: when absent the host CPU is assumed uncontended (the paper's
@@ -174,7 +172,7 @@ class Workload:
         self.recorder = recorder
         self.rng = rng
         self.params = params or WorkloadParams()
-        self.distribution = distribution or UniformAccess()
+        self.distribution = UniformAccess()
         self._now = sim_now or (lambda: 0.0)
         #: installed by a migration manager during the post-copy phase
         self.fault_router: Optional[FaultRouter] = None
@@ -352,9 +350,8 @@ class Workload:
             if idx.size:
                 mm.fault_in(self.vm.name, idx)
 
-        # LRU touches on hit pages (sampled, capped). Using the access
-        # distribution keeps hot pages recently-used under skewed access,
-        # which is what makes LRU retain the hot set.
+        # LRU touches on hit pages (sampled, capped), drawn by the access
+        # distribution so recency follows access frequency.
         n_touch = int(min(whole_ops * p.pages_per_op, p.touch_sample_cap))
         if n_touch > 0:
             touched = self._sample(lo, pages.present[lo:hi], n_touch)

@@ -1,11 +1,11 @@
-"""Access distributions over a workload's query region.
+"""The access distribution over a workload's query region.
 
-The paper's YCSB runs use a uniform key distribution (§V-A), which
-:class:`UniformAccess` models exactly. YCSB's default *zipfian*
-distribution is provided as :class:`ZipfAccess` — an extension that
-matters for migration studies because a skewed working set makes the
-"hot pages in memory, cold pages on the per-VM swap" split far sharper,
-which is precisely the regime Agile migration exploits.
+The paper's YCSB and Sysbench runs use a uniform key distribution
+(§V-A), which :class:`UniformAccess` models exactly; every workload
+samples with it. The :class:`AccessDistribution` base class and the
+``sample(mask, k, rng)`` signature stay because profilers wrap them to
+time and count page sampling (the end-to-end benchmark's
+``workloads.sample`` span).
 
 A distribution answers two questions about the region ``[lo, hi)``:
 
@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-__all__ = ["AccessDistribution", "UniformAccess", "ZipfAccess"]
+__all__ = ["AccessDistribution", "UniformAccess"]
 
 #: class members per pick from which ``UniformAccess.sample`` rejects
 #: draws instead of scanning the region
@@ -96,43 +96,3 @@ def _first_occurrences(a: np.ndarray) -> np.ndarray:
     first[:1] = True
     np.not_equal(values[1:], values[:-1], out=first[1:])
     return a[np.sort(keys[first] % n)]
-
-
-class ZipfAccess(AccessDistribution):
-    """Zipf-distributed page popularity: page 0 is the hottest.
-
-    ``theta`` is the YCSB/Zipf skew parameter (YCSB default 0.99).
-    Weights are ``rank^-theta``, normalized over the current region
-    size; they are recomputed lazily when the region size changes (the
-    paper's load ramp grows the queried range).
-    """
-
-    def __init__(self, theta: float = 0.99):
-        if theta <= 0:
-            raise ValueError("theta must be positive")
-        self.theta = float(theta)
-        self._weights = np.empty(0)
-
-    def _weights_for(self, n: int) -> np.ndarray:
-        if self._weights.size != n:
-            ranks = np.arange(1, n + 1, dtype=np.float64)
-            w = ranks ** (-self.theta)
-            self._weights = w / w.sum()
-        return self._weights
-
-    def class_probability(self, mask: np.ndarray) -> float:
-        if mask.size == 0:
-            return 0.0
-        w = self._weights_for(mask.size)
-        return float(w[mask].sum())
-
-    def sample(self, mask: np.ndarray, k: int,
-               rng: np.random.Generator) -> np.ndarray:
-        cand = np.flatnonzero(mask)
-        if cand.size <= k:
-            return cand
-        w = self._weights_for(mask.size)[cand]
-        total = w.sum()
-        if total <= 0:
-            return rng.choice(cand, size=k, replace=False)
-        return rng.choice(cand, size=k, replace=False, p=w / total)

@@ -67,7 +67,7 @@ class KeyValueWorkload(Workload):
                  dataset_bytes: float,
                  query_plan: Optional[list[tuple[float, float]]] = None,
                  params: Optional[WorkloadParams] = None,
-                 distribution=None, cpu_of=None,
+                 cpu_of=None,
                  sim_now: Optional[Callable[[], float]] = None):
         page = vm.pages.page_size
         dataset_pages = int(dataset_bytes // page)
@@ -84,7 +84,7 @@ class KeyValueWorkload(Workload):
         super().__init__(vm, PhasePlan(phases), network, client_host,
                          manager_of, recorder, rng,
                          params=params or ycsb_redis_params(),
-                         distribution=distribution, cpu_of=cpu_of,
+                         cpu_of=cpu_of,
                          sim_now=sim_now)
 
     @staticmethod

@@ -52,7 +52,7 @@ class OLTPWorkload(Workload):
                  recorder: MetricsRegistry, rng: np.random.Generator,
                  dataset_bytes: float,
                  params: Optional[WorkloadParams] = None,
-                 distribution=None, cpu_of=None,
+                 cpu_of=None,
                  sim_now: Optional[Callable[[], float]] = None):
         page = vm.pages.page_size
         dataset_pages = int(dataset_bytes // page)
@@ -62,5 +62,5 @@ class OLTPWorkload(Workload):
         super().__init__(vm, PhasePlan.constant(0, dataset_pages), network,
                          client_host, manager_of, recorder, rng,
                          params=params or sysbench_mysql_params(),
-                         distribution=distribution, cpu_of=cpu_of,
+                         cpu_of=cpu_of,
                          sim_now=sim_now)

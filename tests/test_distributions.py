@@ -1,4 +1,4 @@
-"""Tests for access distributions (uniform and Zipf)."""
+"""Tests for the uniform access distribution."""
 
 from statistics import NormalDist
 
@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import World, preload_dataset
-from repro.util import MiB
-from repro.workloads import (
-    KeyValueWorkload,
-    UniformAccess,
-    ZipfAccess,
-    ycsb_redis_params,
-)
+from repro.workloads import UniformAccess
 
 
 def mask(n, idx):
@@ -106,50 +99,13 @@ def test_uniform_dense_sample_is_uniform_chi_square():
     assert abs(counts[low].sum() / (calls * k) - 0.5) < 0.02
 
 
-# -- zipf ---------------------------------------------------------------------
-
-def test_zipf_validation():
-    with pytest.raises(ValueError):
-        ZipfAccess(theta=0.0)
-
-
-def test_zipf_head_is_hot():
-    z = ZipfAccess(theta=0.99)
-    n = 1000
-    head = z.class_probability(mask(n, range(10)))
-    tail = z.class_probability(mask(n, range(n - 10, n)))
-    assert head > 20 * tail
-
-
-def test_zipf_probabilities_sum_to_one():
-    z = ZipfAccess(theta=0.8)
-    full = z.class_probability(np.ones(500, dtype=bool))
-    assert full == pytest.approx(1.0)
-
-
-def test_zipf_weights_adapt_to_region_size():
-    z = ZipfAccess()
-    p_small = z.class_probability(mask(10, [0]))
-    p_large = z.class_probability(mask(10000, [0]))
-    assert p_small > p_large  # page 0's share shrinks in a bigger region
-
-
-def test_zipf_sampling_prefers_head():
-    z = ZipfAccess(theta=1.2)
-    rng = np.random.default_rng(1)
-    n = 1000
-    counts = np.zeros(n)
-    for _ in range(200):
-        got = z.sample(np.ones(n, dtype=bool), 5, rng)
-        counts[got] += 1
-    assert counts[:20].sum() > counts[-500:].sum()
-
+# -- class probabilities --------------------------------------------------------
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 200), st.data())
 def test_distribution_invariants(n, data):
     """Property: probabilities in [0,1]; disjoint classes add up."""
-    dist = data.draw(st.sampled_from([UniformAccess(), ZipfAccess(0.99)]))
+    dist = UniformAccess()
     cut = data.draw(st.integers(0, n))
     a = np.zeros(n, dtype=bool)
     a[:cut] = True
@@ -157,43 +113,3 @@ def test_distribution_invariants(n, data):
     pa, pb = dist.class_probability(a), dist.class_probability(b)
     assert 0.0 <= pa <= 1.0 + 1e-9
     assert pa + pb == pytest.approx(1.0)
-
-
-# -- integration: zipf workload keeps its hot head resident ----------------------
-
-def test_zipf_workload_hot_head_stays_resident():
-    w = World(dt=0.5, seed=4, net_bandwidth_bps=50e6)
-    w.add_host("h1", 64 * MiB, host_os_bytes=4 * MiB)
-    w.add_client_host()
-    vm = w.add_vm("vm1", 48 * MiB, "h1")
-    dev = w.add_ssd("ssd", read_bps=20e6, write_bps=10e6)
-    w.hosts["h1"].place_vm(vm, 8 * MiB, dev)
-    preload_dataset(vm, w.manager_of("h1"), 32 * MiB)
-    wl = KeyValueWorkload(
-        vm, w.network, "client", w.manager_of, w.recorder, w.rng("wl"),
-        dataset_bytes=32 * MiB, params=ycsb_redis_params(),
-        distribution=ZipfAccess(theta=0.99), sim_now=lambda: w.sim.now)
-    w.add_workload(wl)
-    w.run(until=60.0)
-    # under LRU + zipf, the hottest pages converge into residency
-    head = vm.pages.present[:64]
-    tail = vm.pages.present[4096:4160]
-    assert head.mean() > tail.mean()
-    # and a skewed workload runs faster than a uniform one over the
-    # same over-committed region (its effective working set fits)
-    w2 = World(dt=0.5, seed=4, net_bandwidth_bps=50e6)
-    w2.add_host("h1", 64 * MiB, host_os_bytes=4 * MiB)
-    w2.add_client_host()
-    vm2 = w2.add_vm("vm1", 48 * MiB, "h1")
-    dev2 = w2.add_ssd("ssd", read_bps=20e6, write_bps=10e6)
-    w2.hosts["h1"].place_vm(vm2, 8 * MiB, dev2)
-    preload_dataset(vm2, w2.manager_of("h1"), 32 * MiB)
-    wl2 = KeyValueWorkload(
-        vm2, w2.network, "client", w2.manager_of, w2.recorder, w2.rng("wl"),
-        dataset_bytes=32 * MiB, params=ycsb_redis_params(),
-        sim_now=lambda: w2.sim.now)
-    w2.add_workload(wl2)
-    w2.run(until=60.0)
-    zipf_tput = w.recorder.series("vm1.throughput").between(30, 60).mean()
-    uni_tput = w2.recorder.series("vm1.throughput").between(30, 60).mean()
-    assert zipf_tput > 1.5 * uni_tput

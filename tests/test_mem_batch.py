@@ -1,15 +1,18 @@
-"""Differential tests: batched commit path vs the scalar oracle.
+"""Differential tests: the pending-set fast path vs the scalar reference.
 
-The batched path (``HostMemoryManager(fast_path=True)``, the default)
-must produce *bit-identical* state to the scalar per-binding oracle for
-every tick of every scenario — not approximately equal: the batch
-replays the oracle's float operations in the same order, so ``==`` is
+The fast path (``HostMemoryManager(fast_path=True)``, the default)
+must produce *bit-identical* state to the scalar per-binding reference
+for every tick of every scenario — not approximately equal: it replays
+the reference's float operations on the bindings it visits and skips
+only bindings whose backlog and write demand are both 0.0, so ``==`` is
 the contract (the same policy as ``tests/test_net_fastpath.py`` for the
 network arbiter). These tests drive twin hosts (one per implementation)
 through identical randomized churn — fault storms, cgroup shrinks,
 host-pressure eviction, writeback-debt throttling,
 mid-run VM register/unregister — and compare every backlog, queue
-demand, grant, residency count and cgroup counter exactly.
+demand, grant, residency count and cgroup counter exactly. After every
+tick the fast side's skip invariant is checked too: a binding outside
+the pending set has zero backlog and zero write demand.
 
 The satellite regression tests for the PR's accounting fixes live here
 too: closed device queues must not retain stale grants, departed VMs
@@ -23,7 +26,6 @@ import numpy as np
 import pytest
 
 from repro.mem import Cgroup, HostMemoryManager, SSDSwapDevice
-from repro.mem.batch import HostCommitBatch
 from repro.vm import VirtualMachine
 
 PAGE = 4096
@@ -113,6 +115,7 @@ class TwinHost:
         self.fast.commit_tick(dt)
         self.ref.commit_tick(dt)
         self.assert_identical()
+        assert_skip_invariant(self.fast)
 
     def assert_identical(self):
         assert (self.fast.total_resident_bytes()
@@ -138,6 +141,14 @@ class TwinHost:
             assert np.array_equal(vf.pages.swap_clean, vr.pages.swap_clean)
             vf.pages.check_invariants()
             vr.pages.check_invariants()
+
+
+def assert_skip_invariant(mgr):
+    """Every binding the fast path skips is provably idle."""
+    for b in mgr.bindings:
+        if b.vm_name not in mgr._writeback:
+            assert b.writeback_backlog == 0.0, b.vm_name
+            assert b.write_queue.demand == 0.0, b.vm_name
 
 
 def _random_idx(rng, n_pages):
@@ -209,7 +220,7 @@ def test_differential_host_pressure(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_differential_register_unregister_churn(seed):
-    """Mid-run VM arrivals and departures: slot reuse in the batch must
+    """Mid-run VM arrivals and departures: pending-set enrollment must
     not perturb victim tie-breaks, backlogs, or demand declarations."""
     rng = random.Random(seed)
     twin = TwinHost(mem_mib=6, os_mib=1, write_bps=64 * PAGE * 10)
@@ -237,9 +248,9 @@ def test_differential_register_unregister_churn(seed):
         twin.tick(dt=0.1)
 
 
-def test_differential_cgroup_shrink_watcher():
-    """Reservation changes reach the batch's dense array immediately:
-    a shrink between ticks changes the victim choice identically."""
+def test_differential_cgroup_shrink():
+    """A shrink between ticks changes the host-pressure victim choice
+    identically on both paths."""
     twin = TwinHost(mem_mib=4, os_mib=1)
     twin.register("a", n_pages=400, reservation_pages=400)
     twin.register("b", n_pages=400, reservation_pages=400)
@@ -250,9 +261,6 @@ def test_differential_cgroup_shrink_watcher():
     twin.shrink("b", 50)
     twin.fault_in("a", np.arange(300, 380))
     twin.tick()
-    batch = twin.fast._batch
-    slot = twin.fast.binding("b")._slot
-    assert batch.reservation[slot] == 50 * PAGE
 
 
 # -- satellite regressions ---------------------------------------------------
@@ -337,47 +345,51 @@ def test_pre_tick_demand_reset_is_unconditional():
         assert b.write_queue.demand == 0.0
 
 
-def test_batch_slot_growth_and_reuse():
-    """Interning past the initial capacity grows the arrays; removal
-    recycles slots without leaking state into the next occupant."""
-    dev = SSDSwapDevice("ssd")
-    mgr = HostMemoryManager("h", 1024 * MiB, host_os_bytes=1 * MiB,
-                            fast_path=True)
-    batch = mgr._batch
-    assert isinstance(batch, HostCommitBatch)
-    bindings = {}
-    for i in range(20):  # > initial capacity of 8, forces growth
-        vm = VirtualMachine(f"vm{i}", 100 * PAGE, host="h")
-        bindings[i] = mgr.register_vm(vm, Cgroup(f"vm{i}", 50 * PAGE), dev)
-    assert batch.n_active == 20
-    slot = bindings[3]._slot
-    bindings[3].writeback_backlog = 7 * PAGE
-    mgr.unregister_vm("vm3")
-    assert not batch.active[slot]
-    assert batch.backlog[slot] == 0.0
-    vm = VirtualMachine("vm20", 100 * PAGE, host="h")
-    b20 = mgr.register_vm(vm, Cgroup("vm20", 50 * PAGE), dev)
-    assert b20._slot == slot  # recycled
-    assert b20.writeback_backlog == 0.0
-    assert batch.seq[slot] == 20  # fresh sequence, not vm3's (seq 3)
-
-
-def test_writeback_backlog_proxy_spans_attachment():
-    """The binding's backlog survives detach/re-attach (migration
-    engines re-key bindings between hosts)."""
+def test_backlog_written_after_registration_is_declared():
+    """Debt written onto a registered binding from outside the manager
+    (a migration engine re-keying a binding carries its backlog across)
+    enrolls it, so the next fast-path pre-tick declares it."""
     dev = SSDSwapDevice("ssd")
     mgr = HostMemoryManager("h", 10 * MiB, host_os_bytes=1 * MiB,
                             fast_path=True)
     vm = VirtualMachine("vm1", 100 * PAGE, host="h")
     b = mgr.register_vm(vm, Cgroup("vm1", 50 * PAGE), dev)
+    assert not mgr._writeback
     b.writeback_backlog = 5 * PAGE
-    assert mgr._batch.backlog[b._slot] == 5 * PAGE
-    mgr._batch.remove(b._slot)
-    assert b._batch is None
-    b.writeback_backlog = 3 * PAGE  # detached: plain attribute
-    assert b._backlog == 3 * PAGE
-    mgr._batch.add(b)
-    assert b.writeback_backlog == 3 * PAGE  # carried into the new slot
+    assert mgr._writeback == {"vm1": b}
+    mgr.pre_tick(0.1)
+    assert b.write_queue.demand == 5 * PAGE
+    # the arbiter never runs, the debt is forgiven: one more pre-tick
+    # declares 0 and drops the binding from the set
+    b.writeback_backlog = 0.0
+    mgr.pre_tick(0.1)
+    assert b.write_queue.demand == 0.0
+    assert not mgr._writeback
+
+
+def test_reregistered_vm_starts_unenrolled():
+    """A departed VM's debt and enrollment do not pass to a new VM
+    registered under the same name, and writes to the departed binding
+    no longer reach the manager."""
+    dev = SSDSwapDevice("ssd", write_bps=PAGE)  # drains ~nothing
+    mgr = HostMemoryManager("h", 10 * MiB, host_os_bytes=1 * MiB,
+                            fast_path=True)
+    vm = VirtualMachine("vm1", 100 * PAGE, host="h")
+    old = mgr.register_vm(vm, Cgroup("vm1", 10 * PAGE), dev)
+    mgr.fault_in("vm1", np.arange(20))  # evicts 10 fresh pages
+    assert mgr._writeback == {"vm1": old}
+    mgr.unregister_vm("vm1")
+    assert not mgr._writeback
+    assert old.writeback_backlog == 0.0
+    vm = VirtualMachine("vm1", 100 * PAGE, host="h")
+    new = mgr.register_vm(vm, Cgroup("vm1", 10 * PAGE), dev)
+    assert not mgr._writeback
+    assert new.writeback_backlog == 0.0
+    old.writeback_backlog = 3 * PAGE
+    assert not mgr._writeback
+    mgr.pre_tick(0.1)
+    assert new.write_queue.demand == 0.0
+    assert_skip_invariant(mgr)
 
 
 def test_scenario_fast_vs_oracle_identical():
