@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runners import (  # re-exported for bench modules
-    MIGRATE_AT,
-    TABLE1_WINDOW,
-)
 from repro.experiments import runners
+from repro.experiments.runners import (  # re-exported for bench modules
+    MIGRATE_AT as MIGRATE_AT,
+    TABLE1_WINDOW as TABLE1_WINDOW,
+)
 
 _cache: dict = {}
 

@@ -7,15 +7,13 @@ write-everywhere guest, auto-converge bounds pre-copy's transfer volume
 — at the cost of the guest's throughput — while Agile needs neither.
 """
 
-import pytest
-
 from conftest import run_once
 from repro.cluster.scenarios import (
     TestbedConfig,
     make_single_vm_lab,
     scale_params_to_page,
 )
-from repro.core import AgileMigration, PrecopyMigration
+from repro.core import PrecopyMigration
 from repro.util import GiB
 from repro.workloads.kv import ycsb_redis_params
 

@@ -9,8 +9,6 @@ full speed and dirtying is the dominant effect) and compare each
 technique's transfer volume.
 """
 
-import pytest
-
 from conftest import run_once
 from repro.cluster.scenarios import (
     TestbedConfig,

@@ -8,8 +8,6 @@ companion system [22]), which stages pages on the VMD intermediaries at
 full source speed instead of pushing them to the destination.
 """
 
-import pytest
-
 from conftest import run_once
 from repro.cluster.scenarios import TestbedConfig, make_single_vm_lab
 from repro.core import ScatterGatherMigration

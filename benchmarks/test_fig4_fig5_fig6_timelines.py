@@ -10,7 +10,6 @@ Paper results: pre-copy completes in 470 s, post-copy in 247 s, Agile in
 215 s respectively. Agile recovers fastest and degrades least.
 """
 
-import numpy as np
 import pytest
 
 from conftest import MIGRATE_AT, pressure_run, run_once

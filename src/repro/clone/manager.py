@@ -251,8 +251,7 @@ class CloneManager:
                        else reservation_bytes)
         binding = world.hosts[host_name].place_vm(vm, reservation, backend)
         staged = image.staged & image.template
-        vm.pages.swapped[staged] = True
-        vm.pages.swap_clean[staged] = True
+        vm.pages.mark_swapped(np.flatnonzero(staged))
         report = CloneReport(vm_name=name, parent=image.parent,
                              fork_time=world.now)
         self.reports.append(report)

@@ -166,8 +166,7 @@ class ReplicaFetcher:
         newly = (self.image.staged & self.image.template
                  & ~pages.present & ~pages.swapped)
         if np.any(newly):
-            pages.swapped |= newly
-            pages.swap_clean |= newly
+            pages.mark_swapped(np.flatnonzero(newly))
         if self.umem is not None:
             cleared = np.flatnonzero(
                 self.umem.scan.pending & self.image.staged)

@@ -66,10 +66,7 @@ def preload_dataset(vm: VirtualMachine, manager: HostMemoryManager,
         pages.mark_dirty(resident_idx)
     if swapped_idx.size > 0:
         swapped_bytes = float(swapped_idx.size) * page
-        # swap_out (not raw bit flips) keeps the PageSet residency
-        # counter exact; the pages were never resident, so this only
-        # sets the swapped/swap-clean bits
-        pages.swap_out(swapped_idx)
+        pages.mark_swapped(swapped_idx)
         backend = binding.backend
         if isinstance(backend, VMDNamespace):
             placed = backend.preload(swapped_bytes)

@@ -102,8 +102,7 @@ class AgileMigration(MigrationManager):
         if swp.size:
             # SWAPPED-flag messages: record offsets in the swap-offset
             # table and set the destination's swapped bitmap (§IV-F).
-            self.dst_pages.swapped[swp] = True
-            self.dst_pages.swap_clean[swp] = True
+            self.dst_pages.mark_swapped(swp)
 
     def _enter_handover(self) -> None:
         """Round done: suspend, ship CPU state + dirty bitmap (FIFO behind

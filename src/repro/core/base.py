@@ -21,7 +21,7 @@ Subclasses implement the technique-specific phase logic on top.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

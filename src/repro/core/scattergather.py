@@ -115,8 +115,7 @@ class ScatterGatherMigration(MigrationManager):
         self._switch_to_destination()
         # Every page that was cold at the source is immediately readable
         # from the per-VM swap device at the destination.
-        self.dst_pages.swapped |= self._cold_at_start
-        self.dst_pages.swap_clean |= self._cold_at_start
+        self.dst_pages.mark_swapped(np.flatnonzero(self._cold_at_start))
         if self.workload is not None:
             self.workload.fault_router = self.umem
         self.phase = MigrationPhase.PUSH
@@ -168,8 +167,7 @@ class ScatterGatherMigration(MigrationManager):
     def _mark_staged(self, idx: np.ndarray) -> None:
         """The destination learns these pages are now on the VMD."""
         live = idx[~self.dst_pages.present[idx]]
-        self.dst_pages.swapped[live] = True
-        self.dst_pages.swap_clean[live] = True
+        self.dst_pages.mark_swapped(live)
 
     def _source_freed(self) -> None:
         """Scatter complete: the source holds no VM state any more."""

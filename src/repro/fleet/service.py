@@ -38,7 +38,7 @@ byte-identical logs and traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cluster.setup import preload_dataset

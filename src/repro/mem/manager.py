@@ -197,9 +197,9 @@ class HostMemoryManager:
         pages = b.pages
         if idx.size == 0:
             return 0.0
-        was_swapped = pages.swapped[idx]
-        read_bytes = float(np.count_nonzero(was_swapped)) * pages.page_size
+        swapped = pages.swapped_pages()
         pages.make_resident(idx, self.tick)
+        read_bytes = float(swapped - pages.swapped_pages()) * pages.page_size
         b.cgroup.account_swap_in(read_bytes)
         if read_bytes and self.metrics.enabled:
             self.metrics.counter("mem.swapin_bytes").inc(read_bytes)

@@ -43,14 +43,27 @@ newest - 1]`` (one scan and one uint64 key sort); pages at the open,
 newest stamp are sorted per call, and only once everything older is
 gone.
 
-Residency is counted incrementally: every transition updates a running
-resident-page counter so :meth:`PageSet.resident_pages` is O(1). This is
-what turns the host eviction loop from quadratic (a full bitmap scan per
-iteration) into linear work, and it is why external code must never flip
-``present`` directly — go through the transition methods (or
-:meth:`release_resident`), which keep the counter exact. Transition
-methods require **unique** index arrays (every caller passes
-``flatnonzero``- or ``choice(replace=False)``-derived indices).
+Residency is counted incrementally: every transition updates running
+resident-page and swapped-page counters, so :meth:`PageSet.resident_pages`
+and :meth:`PageSet.swapped_pages` are O(1). This is what turns the host
+eviction loop from quadratic (a full bitmap scan per iteration) into
+linear work, and it is why external code must never write ``present`` or
+``swapped`` directly — go through the transition methods
+(:meth:`make_resident`, :meth:`swap_out`, :meth:`drop`,
+:meth:`release_resident`, :meth:`mark_swapped`), which keep the counters
+exact. Transition methods require **unique** index arrays (every caller
+passes ``flatnonzero``- or ``choice(replace=False)``-derived indices).
+
+**Window counts.** A caller may register page windows ``[lo, hi)``
+(:meth:`add_window`); :meth:`window_counts` then returns the exact number
+of present and of swapped pages in a window in O(windows). The window
+edges cut the page range into cells, and each cell keeps its two counts.
+A transition finds the cell of each changed page with one
+``searchsorted`` over the sorted edges, shared by every window, and adds
+one ``bincount`` per class, so it stays O(pages changed). Registering or
+releasing a window recounts the cells once, O(n_pages). The workload
+engine keeps its query region and its write-set prefix registered, which
+is what makes a workload tick cost O(pages picked) instead of O(region).
 """
 
 from __future__ import annotations
@@ -101,6 +114,18 @@ class PageSet:
         #: running count of set ``present`` bits (kept exact by the
         #: transition methods; O(1) residency queries)
         self._n_resident = 0
+        #: running count of set ``swapped`` bits (likewise)
+        self._n_swapped = 0
+        #: registered windows: (lo, hi) -> [references, first cell,
+        #: end cell]; the window's pages are those of cells [first, end)
+        self._windows: dict[tuple[int, int], list[int]] = {}
+        #: sorted distinct window edges (None: no window registered);
+        #: cell c holds pages p with ``searchsorted(edges, p, "right")
+        #: == c``, i.e. cell c is [edges[c - 1], edges[c])
+        self._edges: np.ndarray | None = None
+        #: present and swapped pages per cell
+        self._cell_present: list[int] = []
+        self._cell_swapped: list[int] = []
         #: the newest stamp any page has been given
         self._newest = -1
         #: the eviction run (see the module docstring): every present
@@ -121,17 +146,97 @@ class PageSet:
         return self.resident_pages() * self.page_size
 
     def swapped_pages(self) -> int:
-        return int(np.count_nonzero(self.swapped))
+        return self._n_swapped
 
     def swapped_bytes(self) -> int:
         return self.swapped_pages() * self.page_size
 
     def allocated_pages(self) -> int:
-        return int(np.count_nonzero(self.present | self.swapped))
+        return self._n_resident + self._n_swapped  # the states are disjoint
 
     def resident_in(self, lo: int, hi: int) -> int:
         """Resident pages within the half-open page range [lo, hi)."""
         return int(np.count_nonzero(self.present[lo:hi]))
+
+    # -- windows -------------------------------------------------------------
+    def add_window(self, lo: int, hi: int) -> None:
+        """Keep exact present/swapped counts for pages ``[lo, hi)``.
+
+        Windows are reference-counted: registering the same range twice
+        needs two :meth:`remove_window` calls. Costs one O(n_pages)
+        recount; every later transition keeps the counts exact.
+        """
+        if not 0 <= lo < hi <= self.n_pages:
+            raise ValueError(f"bad window [{lo}, {hi}) of {self.n_pages}")
+        entry = self._windows.get((lo, hi))
+        if entry is not None:
+            entry[0] += 1
+            return
+        self._windows[(lo, hi)] = [1, 0, 0]
+        self._recount_cells()
+
+    def remove_window(self, lo: int, hi: int) -> None:
+        """Drop one reference to window ``[lo, hi)``."""
+        entry = self._windows[(lo, hi)]
+        entry[0] -= 1
+        if entry[0] == 0:
+            del self._windows[(lo, hi)]
+            self._recount_cells()
+
+    def window_counts(self, lo: int, hi: int) -> tuple[int, int]:
+        """``(present, swapped)`` pages in the registered window
+        ``[lo, hi)``, in O(windows)."""
+        _, first, end = self._windows[(lo, hi)]
+        return (sum(self._cell_present[first:end]),
+                sum(self._cell_swapped[first:end]))
+
+    def _recount_cells(self) -> None:
+        """Re-cut the cells at the registered windows' edges and count
+        each one from the bitmaps."""
+        if not self._windows:
+            self._edges, self._cell_present, self._cell_swapped = None, [], []
+            return
+        edges = sorted({e for window in self._windows for e in window})
+        cell = {e: c for c, e in enumerate(edges, start=1)}
+        for (lo, hi), entry in self._windows.items():
+            entry[1], entry[2] = cell[lo], cell[hi]
+        self._edges = np.array(edges, dtype=np.int64)
+        bounds = [0] + edges + [self.n_pages]
+        self._cell_present, self._cell_swapped = (
+            [int(np.count_nonzero(bits[a:b]))
+             for a, b in zip(bounds[:-1], bounds[1:])]
+            for bits in (self.present, self.swapped))
+
+    def _shift(self, idx: np.ndarray, was_present: np.ndarray | None,
+               d_present: int, was_swapped: np.ndarray | None,
+               d_swapped: int) -> None:
+        """Update the cell counts after a transition on pages ``idx``.
+
+        ``d_present`` is the signed number of pages that entered (+) or
+        left (-) the present class: the pages of ``idx`` whose old bit
+        ``was_present`` was clear (entering) or set (leaving); likewise
+        for the swapped class. A zero count skips its class; one
+        covering all of ``idx`` needs no old bits.
+        """
+        if not (d_present or d_swapped):
+            return
+        cells = self._edges.searchsorted(idx, "right")
+        size = len(self._cell_present)
+        every = None  # pages per cell over all of idx, shared by the classes
+        for counts, was, moved in ((self._cell_present, was_present, d_present),
+                                   (self._cell_swapped, was_swapped, d_swapped)):
+            if not moved:
+                continue
+            if abs(moved) < idx.size:
+                picked = cells[was] if moved < 0 else cells[~was]
+                hist = np.bincount(picked, minlength=size).tolist()
+            else:
+                if every is None:
+                    every = np.bincount(cells, minlength=size).tolist()
+                hist = every
+            sign = 1 if moved > 0 else -1
+            for c, n in enumerate(hist):
+                counts[c] += sign * n
 
     def check_invariants(self) -> None:
         """Kernel-style consistency checks (used by tests and hypothesis)."""
@@ -143,6 +248,17 @@ class PageSet:
             raise AssertionError(
                 f"resident counter drifted: {self._n_resident} != "
                 f"{int(np.count_nonzero(self.present))}")
+        if self._n_swapped != int(np.count_nonzero(self.swapped)):
+            raise AssertionError(
+                f"swapped counter drifted: {self._n_swapped} != "
+                f"{int(np.count_nonzero(self.swapped))}")
+        for lo, hi in self._windows:
+            got = self.window_counts(lo, hi)
+            want = (int(np.count_nonzero(self.present[lo:hi])),
+                    int(np.count_nonzero(self.swapped[lo:hi])))
+            if got != want:
+                raise AssertionError(
+                    f"window [{lo}, {hi}) counts drifted: {got} != {want}")
         run, horizon = self._run, self._horizon
         if run.dtype != np.int32:
             raise AssertionError(f"eviction run is {run.dtype}, not int32")
@@ -180,11 +296,14 @@ class PageSet:
         ``swap_clean`` stays set); freshly allocated pages have none.
         Returns the number of pages that became newly resident.
         """
-        newly = idx.size - int(np.count_nonzero(self.present[idx]))
+        was_present = self.present[idx]
+        newly = idx.size - int(np.count_nonzero(was_present))
+        was_swapped, unswapped = self._leave_swap(idx)
         self.present[idx] = True
-        self.swapped[idx] = False
         self._stamp(idx, tick)
         self._n_resident += newly
+        if self._edges is not None:
+            self._shift(idx, was_present, newly, was_swapped, -unswapped)
         return newly
 
     def swap_out(self, idx: np.ndarray) -> int:
@@ -194,21 +313,33 @@ class PageSet:
         manager's writeback queue) a valid copy on the device. Returns
         the number of pages that were resident before the call.
         """
-        gone = int(np.count_nonzero(self.present[idx]))
+        was_present = self.present[idx]
+        gone = int(np.count_nonzero(was_present))
+        if gone == idx.size:  # the usual eviction: present pages, none swapped
+            was_swapped, newly = None, gone
+        else:
+            was_swapped = self.swapped[idx]
+            newly = idx.size - int(np.count_nonzero(was_swapped))
         self.present[idx] = False
         self.swapped[idx] = True
         self.swap_clean[idx] = True
         self._n_resident -= gone
+        self._n_swapped += newly
+        if self._edges is not None:
+            self._shift(idx, was_present, -gone, was_swapped, newly)
         return gone
 
     def drop(self, idx: np.ndarray) -> int:
         """Discard pages entirely (used when freeing a migrated-away VM).
         Returns the number of previously resident pages dropped."""
-        gone = int(np.count_nonzero(self.present[idx]))
+        was_present = self.present[idx]
+        gone = int(np.count_nonzero(was_present))
+        was_swapped, unswapped = self._leave_swap(idx)
         self.present[idx] = False
-        self.swapped[idx] = False
         self.swap_clean[idx] = False
         self._n_resident -= gone
+        if self._edges is not None:
+            self._shift(idx, was_present, -gone, was_swapped, -unswapped)
         return gone
 
     def release_resident(self, idx: np.ndarray) -> int:
@@ -219,10 +350,42 @@ class PageSet:
         reachable from the portable per-VM device (§IV-B). Returns the
         number of previously resident pages released.
         """
-        gone = int(np.count_nonzero(self.present[idx]))
+        was_present = self.present[idx]
+        gone = int(np.count_nonzero(was_present))
         self.present[idx] = False
         self._n_resident -= gone
+        if self._edges is not None:
+            self._shift(idx, was_present, -gone, None, 0)
         return gone
+
+    def mark_swapped(self, idx: np.ndarray) -> int:
+        """Record that non-present pages ``idx`` have a valid copy on the
+        swap device (a migration or clone learned where they live).
+
+        Sets ``swapped`` and ``swap_clean``. Returns the number of pages
+        that were not swapped before the call.
+        """
+        if np.any(self.present[idx]):
+            raise ValueError("mark_swapped on a present page")
+        was_swapped = self.swapped[idx]
+        newly = idx.size - int(np.count_nonzero(was_swapped))
+        self.swapped[idx] = True
+        self.swap_clean[idx] = True
+        self._n_swapped += newly
+        if self._edges is not None:
+            self._shift(idx, None, 0, was_swapped, newly)
+        return newly
+
+    def _leave_swap(self, idx: np.ndarray) -> tuple[np.ndarray | None, int]:
+        """Clear the swapped bits of pages ``idx``; returns their old bits
+        and how many were set (nothing to do while no page is swapped)."""
+        if not self._n_swapped:
+            return None, 0
+        was_swapped = self.swapped[idx]
+        unswapped = int(np.count_nonzero(was_swapped))
+        self.swapped[idx] = False
+        self._n_swapped -= unswapped
+        return was_swapped, unswapped
 
     def _stamp(self, idx: np.ndarray, tick: int) -> None:
         """Stamp present pages ``idx`` with ``tick``, keeping the run exact."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Optional
 
-from repro.net.flow import Flow
 from repro.net.network import Network
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.kernel import Event, Simulator

@@ -16,7 +16,9 @@ changes over time via a :class:`PhasePlan` — e.g. YCSB first querying
   zero-fill).
 
 Each tick the engine computes the expected per-op fault mix from the page
-state counts, declares resource demands (device reads, network), and
+state counts (exact window counts kept by the VM's
+:class:`~repro.mem.pages.PageSet`, so a tick costs O(pages picked), not
+O(region)), declares resource demands (device reads, network), and
 after arbitration executes as many whole operations as the binding
 resource allows:
 
@@ -30,16 +32,18 @@ seeded; runs are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import bisect
+import math
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from repro.mem.manager import HostMemoryManager, VmMemoryBinding
+from repro.mem.pages import PageSet
 from repro.net.flow import Flow
 from repro.net.network import Network
 from repro.telemetry.instruments import MetricsRegistry
-from repro.util import PAGE_SIZE
 from repro.vm.vm import VirtualMachine
 from repro.workloads.distribution import UniformAccess
 
@@ -121,14 +125,12 @@ class PhasePlan:
         for start, lo, hi in ordered:
             if not 0 <= lo < hi:
                 raise ValueError(f"bad region [{lo}, {hi})")
-        self._starts = np.array([p[0] for p in ordered])
+        self._starts = [float(p[0]) for p in ordered]
         self._regions = [(p[1], p[2]) for p in ordered]
 
     def region_at(self, t: float) -> tuple[int, int]:
-        i = int(np.searchsorted(self._starts, t, side="right")) - 1
-        if i < 0:
-            i = 0
-        return self._regions[i]
+        i = bisect.bisect_right(self._starts, t) - 1
+        return self._regions[max(i, 0)]
 
     @staticmethod
     def constant(lo: int, hi: int) -> "PhasePlan":
@@ -141,6 +143,8 @@ class _TickPlan:
 
     lo: int = 0
     hi: int = 0
+    #: end of the write-set prefix ``[lo, w_hi)``
+    w_hi: int = 0
     ops_bound: float = 0.0
     lam_swap: float = 0.0
     lam_src: float = 0.0
@@ -183,6 +187,9 @@ class Workload:
         self._flow: Optional[Flow] = None
         self._flow_host: Optional[str] = None
         self._plan_state = _TickPlan()
+        #: the page set and ``(lo, hi, w_hi)`` whose windows ``[lo, hi)``
+        #: and ``[lo, w_hi)`` this workload keeps registered
+        self._windows: Optional[tuple[PageSet, int, int, int]] = None
         self.total_ops = 0.0
         #: carry for fractional ops between ticks (keeps rates unbiased)
         self._op_carry = 0.0
@@ -217,6 +224,21 @@ class Workload:
             self._flow_host = self.vm.host
         return self._flow
 
+    def _track(self, pages: PageSet, lo: int, hi: int, w_hi: int) -> None:
+        """Keep the query region and write-set prefix registered as
+        windows of ``pages``, moving them when the region or the page
+        set (a migration's switchover) changes."""
+        old = self._windows
+        if old is not None and old[0] is pages and old[1:] == (lo, hi, w_hi):
+            return
+        pages.add_window(lo, hi)
+        pages.add_window(lo, w_hi)
+        if old is not None:
+            old_pages, old_lo, old_hi, old_w_hi = old
+            old_pages.remove_window(old_lo, old_hi)
+            old_pages.remove_window(old_lo, old_w_hi)
+        self._windows = (pages, lo, hi, w_hi)
+
     # -- tick protocol ----------------------------------------------------------
     def pre_tick(self, dt: float) -> None:
         p = self.params
@@ -233,23 +255,25 @@ class Workload:
             st.ops_bound = 0.0
             return
 
-        present = pages.present[lo:hi]
-        swapped = pages.swapped[lo:hi]
-        dist = self.distribution
+        w_len = max(1, int(n_region * p.write_region_fraction))
+        st.w_hi = lo + min(w_len, n_region)
+        self._track(pages, lo, hi, st.w_hi)
+        n_present, n_swapped = pages.window_counts(lo, hi)
 
         st.src_mask = None
         p_src = 0.0
         if self.fault_router is not None:
             mask = self.fault_router.source_pending_mask()
             if mask is not None:
-                region_src = mask[lo:hi] & ~present & ~swapped
-                p_src = dist.class_probability(region_src)
+                region_src = (mask[lo:hi] & ~pages.present[lo:hi]
+                              & ~pages.swapped[lo:hi])
+                p_src = float(np.count_nonzero(region_src)) / n_region
                 st.src_mask = mask
 
-        # Per-access probabilities of each fault class, weighted by the
-        # access distribution (uniform: plain residency fractions).
-        p_swap = dist.class_probability(swapped)
-        q = dist.class_probability(~present)
+        # Per-access probabilities of each fault class (uniform access:
+        # plain residency fractions).
+        p_swap = float(n_swapped) / n_region
+        q = float(n_region - n_present) / n_region
         p_fresh = max(0.0, q - p_swap - p_src)
         st.lam_swap = p.pages_per_op * p_swap
         st.lam_src = p.pages_per_op * p_src
@@ -317,10 +341,13 @@ class Workload:
 
         # Integerize page effects with a fractional carry.
         self._op_carry += ops
-        whole_ops = float(np.floor(self._op_carry))
+        whole_ops = float(math.floor(self._op_carry))
         self._op_carry -= whole_ops
 
-        lo, hi = st.lo, st.hi
+        lo, hi, w_hi = st.lo, st.hi, st.w_hi
+        # a participant committing before this one may have switched the
+        # VM over to another page set since pre_tick
+        self._track(pages, lo, hi, w_hi)
         k_swap = self._round(whole_ops * st.lam_swap)
         k_src = self._round(whole_ops * st.lam_src)
         k_fresh = self._round(whole_ops * st.lam_fresh)
@@ -328,8 +355,11 @@ class Workload:
         region_present = pages.present[lo:hi]
         region_swapped = pages.swapped[lo:hi]
 
+        # Class sizes are read from the window counts at each pick: this
+        # VM's faults and other VMs' evictions move them within the tick.
         if k_swap > 0:
-            idx = self._sample(lo, region_swapped, k_swap)
+            m = pages.window_counts(lo, hi)[1]
+            idx = self._sample(lo, region_swapped, k_swap, m)
             if idx.size:
                 mm.fault_in(self.vm.name, idx)
                 # readahead reads extra device bytes beyond the fault page
@@ -338,15 +368,19 @@ class Workload:
                     self._binding().cgroup.account_swap_in(extra)
         if k_src > 0 and st.src_mask is not None:
             cand = st.src_mask[lo:hi] & ~region_present & ~region_swapped
-            idx = self._sample(lo, cand, k_src)
+            idx = self._sample(lo, cand, k_src, int(np.count_nonzero(cand)))
             if idx.size:
                 mm.fault_in(self.vm.name, idx)
                 self.fault_router.notify_fetched(idx)
         if k_fresh > 0:
-            cand = ~pages.present[lo:hi] & ~pages.swapped[lo:hi]
+            cand = ~region_present & ~region_swapped
             if st.src_mask is not None:
                 cand &= ~st.src_mask[lo:hi]
-            idx = self._sample(lo, cand, k_fresh)
+                m = int(np.count_nonzero(cand))
+            else:
+                n_present, n_swapped = pages.window_counts(lo, hi)
+                m = hi - lo - n_present - n_swapped
+            idx = self._sample(lo, cand, k_fresh, m)
             if idx.size:
                 mm.fault_in(self.vm.name, idx)
 
@@ -354,7 +388,8 @@ class Workload:
         # distribution so recency follows access frequency.
         n_touch = int(min(whole_ops * p.pages_per_op, p.touch_sample_cap))
         if n_touch > 0:
-            touched = self._sample(lo, pages.present[lo:hi], n_touch)
+            touched = self._sample(lo, region_present, n_touch,
+                                   pages.window_counts(lo, hi)[0])
             if touched.size:
                 pages.touch(touched, mm.tick)
 
@@ -362,10 +397,10 @@ class Workload:
         k_dirty = self._round(
             whole_ops * p.write_fraction * p.dirty_pages_per_write)
         if k_dirty > 0:
-            w_mask = pages.present[lo:hi].copy()
-            w_len = max(1, int((hi - lo) * p.write_region_fraction))
-            w_mask[w_len:] = False
-            idx = self._sample(lo, w_mask, k_dirty)
+            # draws span the whole region and reject positions past the
+            # prefix, so they match a region-wide mask cleared after it
+            idx = self._sample(lo, pages.present[lo:w_hi], k_dirty,
+                               pages.window_counts(lo, w_hi)[0], hi - lo)
             if idx.size:
                 mm.dirty(self.vm.name, idx)
 
@@ -376,11 +411,13 @@ class Workload:
     # -- internals ---------------------------------------------------------------
     def _round(self, x: float) -> int:
         """Probabilistic rounding: unbiased at low rates."""
-        base = int(np.floor(x))
+        base = math.floor(x)
         frac = x - base
         return base + (1 if self.rng.random() < frac else 0)
 
-    def _sample(self, lo: int, region_mask: np.ndarray, k: int) -> np.ndarray:
-        """Sample up to ``k`` distinct pages of a region-relative class,
-        weighted by the access distribution; returns absolute indices."""
-        return lo + self.distribution.sample(region_mask, k, self.rng)
+    def _sample(self, lo: int, region_mask: np.ndarray, k: int, m: int,
+                n: Optional[int] = None) -> np.ndarray:
+        """Sample up to ``k`` distinct pages of a region-relative class of
+        ``m`` pages (``n`` as in :meth:`UniformAccess.sample`);
+        returns absolute indices."""
+        return lo + self.distribution.sample(region_mask, k, self.rng, m, n)

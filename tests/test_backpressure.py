@@ -12,7 +12,7 @@ import pytest
 from repro.cluster import World, preload_dataset
 from repro.cluster.scenarios import TestbedConfig, make_single_vm_lab
 from repro.core.base import MigrationConfig
-from repro.util import GiB, KiB, MiB
+from repro.util import GiB, MiB
 from repro.workloads import KeyValueWorkload, ycsb_redis_params
 
 PAGE = 4096

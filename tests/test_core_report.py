@@ -45,7 +45,6 @@ def test_incoming_image_mirrors_vm_geometry():
 
 
 def test_migration_progress_series_recorded():
-    from repro.util import MiB
     from tests.test_migration import make_lab
 
     lab = make_lab("agile", vm_mib=16, reservation_mib=32)

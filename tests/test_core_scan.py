@@ -1,7 +1,6 @@
 """Tests for the PendingScan budgeted bitmap walk."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.base import PendingScan

@@ -1,12 +1,13 @@
 """Tests for the uniform access distribution."""
 
+import math
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.workloads import UniformAccess
+from repro.workloads import UniformAccess, distribution
 
 
 def mask(n, idx):
@@ -15,18 +16,17 @@ def mask(n, idx):
     return m
 
 
+def draw(u, region, k, rng):
+    """``u.sample`` with the class size counted from the mask."""
+    return u.sample(region, k, rng, int(np.count_nonzero(region)))
+
+
 # -- uniform -------------------------------------------------------------------
-
-def test_uniform_probability_is_fraction():
-    u = UniformAccess()
-    assert u.class_probability(mask(10, [0, 1, 2])) == pytest.approx(0.3)
-    assert u.class_probability(np.zeros(0, dtype=bool)) == 0.0
-
 
 def test_uniform_sample_distinct_members():
     u = UniformAccess()
     rng = np.random.default_rng(0)
-    got = u.sample(mask(100, range(50)), 10, rng)
+    got = draw(u, mask(100, range(50)), 10, rng)
     assert got.size == 10
     assert len(set(got.tolist())) == 10
     assert np.all(got < 50)
@@ -35,7 +35,7 @@ def test_uniform_sample_distinct_members():
 def test_uniform_sample_returns_all_when_few():
     u = UniformAccess()
     rng = np.random.default_rng(0)
-    got = u.sample(mask(10, [3, 7]), 5, rng)
+    got = draw(u, mask(10, [3, 7]), 5, rng)
     assert sorted(got.tolist()) == [3, 7]
 
 
@@ -49,12 +49,12 @@ def test_uniform_sample_both_branches_exact_size_distinct_in_class(
     region = np.random.default_rng(seed).random(n) < density
     m = int(np.count_nonzero(region))
     u = UniformAccess()
-    got = u.sample(region, k, np.random.default_rng(seed))
+    got = draw(u, region, k, np.random.default_rng(seed))
     assert got.dtype == np.int64
     assert got.size == min(k, m)
     assert np.unique(got).size == got.size
     assert np.all(region[got])
-    again = u.sample(region, k, np.random.default_rng(seed))
+    again = draw(u, region, k, np.random.default_rng(seed))
     assert got.tolist() == again.tolist()
 
 
@@ -62,7 +62,7 @@ def test_uniform_sample_both_branches_exact_size_distinct_in_class(
                                   (4000, 3999)])
 def test_uniform_sample_around_the_branch_cut(m, k):
     region = mask(20000, range(0, 20000, 5)[:m])
-    got = UniformAccess().sample(region, k, np.random.default_rng(3))
+    got = draw(UniformAccess(), region, k, np.random.default_rng(3))
     assert got.size == k
     assert np.unique(got).size == k
     assert np.all(region[got])
@@ -84,7 +84,7 @@ def test_uniform_dense_sample_is_uniform_chi_square():
     u, rng = UniformAccess(), np.random.default_rng(12)
     counts = np.zeros(n)
     for _ in range(calls):
-        counts[u.sample(region, k, rng)] += 1
+        counts[draw(u, region, k, rng)] += 1
     assert counts[~region].sum() == 0
     p = k / m
     expect = calls * p
@@ -99,17 +99,96 @@ def test_uniform_dense_sample_is_uniform_chi_square():
     assert abs(counts[low].sum() / (calls * k) - 0.5) < 0.02
 
 
-# -- class probabilities --------------------------------------------------------
+# -- the parent sampler as an oracle -------------------------------------------
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 200), st.data())
-def test_distribution_invariants(n, data):
-    """Property: probabilities in [0,1]; disjoint classes add up."""
-    dist = UniformAccess()
-    cut = data.draw(st.integers(0, n))
-    a = np.zeros(n, dtype=bool)
-    a[:cut] = True
-    b = ~a
-    pa, pb = dist.class_probability(a), dist.class_probability(b)
-    assert 0.0 <= pa <= 1.0 + 1e-9
-    assert pa + pb == pytest.approx(1.0)
+def oracle_sample(region, k, rng):
+    """The sampler before window counts: ``m`` counted from the mask,
+    repeats dropped by a key sort."""
+    m = int(np.count_nonzero(region))
+    if m <= k:
+        return np.flatnonzero(region)
+    if m < 8 * k:
+        return rng.choice(np.flatnonzero(region), size=k, replace=False)
+    n = region.size
+    hits = np.empty(0, dtype=np.int64)
+    while True:
+        short = k - hits.size
+        want = short + short * k // m + 4 * math.isqrt(short) + 4
+        draws = rng.integers(0, n, size=want * n // m + 1)
+        hits = oracle_first_occurrences(
+            np.concatenate((hits, draws[region[draws]])))
+        if hits.size >= k:
+            return hits[:k]
+
+
+def oracle_first_occurrences(a):
+    n = a.size
+    keys = np.sort(a * n + np.arange(n))
+    values = keys // n
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return a[np.sort(keys[first] % n)]
+
+
+def assert_scratch_clear():
+    assert np.all(distribution._scratch == distribution._SENTINEL)
+
+
+def assert_matches_oracle(region, k, seed, w_len=None):
+    """The new call (prefix view, ``m`` passed in) returns the oracle's
+    array and leaves the generator in the oracle's state.
+
+    With ``w_len`` the class is the region's first ``w_len`` pages: the
+    oracle gets the region-wide mask cleared past the prefix (the old
+    copy-and-truncate), the sampler gets the prefix view.
+    """
+    n = region.size
+    full = region.copy()
+    if w_len is not None:
+        full[w_len:] = False
+    rng_old, rng_new = (np.random.default_rng(seed) for _ in range(2))
+    want = oracle_sample(full, k, rng_old)
+    view = region if w_len is None else region[:w_len]
+    got = UniformAccess().sample(view, k, rng_new,
+                                 int(np.count_nonzero(view)), n)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    assert_scratch_clear()
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 3000), density=st.floats(0.0, 1.0),
+       k=st.integers(1, 400), prefix=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sample_matches_the_parent_sampler(n, density, k, prefix, seed):
+    region = np.random.default_rng(seed).random(n) < density
+    assert_matches_oracle(region, k, seed)
+    assert_matches_oracle(region, k, seed, w_len=max(1, int(n * prefix)))
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("w_len", [None, 60000])
+def test_sample_matches_the_parent_sampler_at_the_branch_cut(extra, w_len):
+    """``m`` within one of ``8 k`` with ``k`` = 1,000: the scan branch
+    just below, the rejection branch from ``8 k`` on."""
+    k, n = 1000, 80000
+    m = 8 * k + extra
+    region = np.zeros(n, dtype=bool)
+    span = n if w_len is None else w_len
+    region[np.random.default_rng(5).choice(span, size=m, replace=False)] = True
+    region[span:] = np.random.default_rng(6).random(n - span) < 0.5
+    for seed in range(3):
+        assert_matches_oracle(region, k, seed, w_len=w_len)
+
+
+def test_first_occurrence_scratch_is_clear_after_every_call():
+    rng = np.random.default_rng(2)
+    u = UniformAccess()
+    for n in (10, 5000, 300):
+        region = rng.random(n) < 0.9
+        for k in (1, 3, n // 20 + 1):
+            u.sample(region, k, rng, int(np.count_nonzero(region)))
+            assert_scratch_clear()
+    assert distribution._scratch.dtype == np.int32

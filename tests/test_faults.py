@@ -6,7 +6,6 @@ import pytest
 
 from repro.cluster.world import World
 from repro.faults import (
-    FaultInjector,
     FaultKind,
     FaultLog,
     FaultSchedule,

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.mem import HostMemoryManager, SSDSwapDevice
-from repro.net import Network
 from repro.host import Host
+from repro.mem import SSDSwapDevice
+from repro.net import Network
 from repro.vm import VirtualMachine
 
 PAGE = 4096

@@ -1,6 +1,5 @@
 """End-to-end tests of the three migration techniques on small worlds."""
 
-import numpy as np
 import pytest
 
 from repro.cluster.scenarios import TestbedConfig, make_single_vm_lab

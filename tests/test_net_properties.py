@@ -7,7 +7,6 @@ allocation against the specification of strict-priority max-min
 fairness itself, on both arbiters and on flat and three-tier fabrics.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -7,8 +7,6 @@ Agile migration relieves the source — the complete system the paper
 describes.
 """
 
-import pytest
-
 from repro.cluster.scenarios import (
     TestbedConfig,
     make_pressure_scenario,

@@ -1,7 +1,6 @@
 """Tests for the extension techniques: Scatter-Gather migration and
 pre-copy auto-converge."""
 
-import numpy as np
 import pytest
 
 from repro.cluster.scenarios import TestbedConfig, make_single_vm_lab

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim import Event, Interrupt, Simulator, Timeout
+from repro.sim import Interrupt, Simulator
 from repro.sim.kernel import SimulationError
 
 

@@ -298,7 +298,6 @@ def test_domain_spread_validation():
 
 
 def test_planner_spread_scales_with_tier_distance():
-    from repro.cluster.setup import preload_dataset
     from repro.sched import MigrationPlanner
     world = World(dt=0.1, net_bandwidth_bps=10e6)
     topo = Topology.tiered(2, 2, 2, uplink_bps=80e6)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.net import Network
 from repro.sim import Simulator, TickEngine
-from repro.vmd import RoundRobinPlacement, VMDCluster, VMDNamespace, VMDServer
+from repro.vmd import RoundRobinPlacement, VMDCluster, VMDServer
 
 MiB = 2 ** 20
 

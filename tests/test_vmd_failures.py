@@ -12,7 +12,7 @@ import pytest
 
 from repro.net import Network
 from repro.sim import Simulator, TickEngine
-from repro.vmd import VMDCluster, VMDNamespace, VMDServer
+from repro.vmd import VMDNamespace, VMDServer
 from repro.vmd.placement import RoundRobinPlacement
 
 

@@ -10,7 +10,6 @@ from repro.workloads import (
     KeyValueWorkload,
     OLTPWorkload,
     PhasePlan,
-    WorkloadParams,
     ycsb_redis_params,
 )
 
@@ -238,3 +237,36 @@ def test_different_seeds_pick_different_pages():
         states.append(vm.pages.present.copy())
     # ops totals may coincide (resource-bound), but the sampled pages differ
     assert not np.array_equal(states[0], states[1])
+
+
+@pytest.mark.parametrize("technique", ["agile", "pre-copy"])
+def test_windows_follow_the_page_set_across_a_migration(technique):
+    """The query region and write-set prefix stay registered windows of
+    whatever page set the VM runs on; the switchover moves them."""
+    from repro.cluster.scenarios import TestbedConfig, make_single_vm_lab
+    from repro.core.base import MigrationConfig
+    from repro.util import GiB, KiB
+
+    cfg = TestbedConfig(
+        dt=0.1, seed=3, page_size=PAGE, net_bandwidth_bps=20e6,
+        ssd_read_bps=10e6, ssd_write_bps=5e6, ssd_capacity_bytes=1 * GiB,
+        vmd_server_bytes=1 * GiB, host_os_bytes=1 * MiB,
+        migration=MigrationConfig(backlog_cap_bytes=2 * MiB,
+                                  stopcopy_threshold_bytes=256 * KiB,
+                                  max_rounds=30))
+    lab = make_single_vm_lab(technique, 24 * MiB, busy=True,
+                             host_memory_bytes=64 * MiB,
+                             reservation_bytes=12 * MiB,
+                             busy_margin_bytes=4 * MiB, config=cfg)
+    vm, wl = lab.migrate_vm, lab.workloads[0]
+    src_pages = vm.pages
+    lab.world.run(until=1.0)
+    pages, lo, hi, w_hi = wl._windows
+    assert pages is src_pages and lo < w_hi <= hi
+    assert set(src_pages._windows) == {(lo, hi), (lo, w_hi)}
+    lab.run_until_migrated(start=1.0, limit=300.0, settle=1.0)
+    assert vm.host == "dst" and vm.pages is not src_pages
+    assert wl._windows[0] is vm.pages
+    assert src_pages._windows == {}  # released on the old page set
+    assert set(vm.pages._windows) == {(lo, hi), (lo, w_hi)}
+    vm.pages.check_invariants()  # recounts both windows
